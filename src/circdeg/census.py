@@ -23,8 +23,10 @@ from .circulant import (
     coset_union,
     fixing_subgroup,
     is_connected,
+    least_multiplier_image,
     make_connection_set,
     multiplier_isomorphic,
+    pair_orbits,
 )
 from .numtheory import (
     divisors,
@@ -42,7 +44,6 @@ from .unitgroup import (
     inverse_symmetric_subgroup,
     primitive_root,
     unique_subgroup_mod_prime,
-    units,
 )
 
 DEFAULT_ENUMERATION_LIMIT = 14
@@ -159,12 +160,7 @@ def canonical_form(symbol: ConnectionSet) -> ConnectionSet:
     """
     if not is_prime(symbol.n):
         raise ValueError(f"canonical_form needs a prime modulus, got {symbol.n}")
-    best = symbol.elements
-    for m in units(symbol.n):
-        image = tuple(sorted(m * s % symbol.n for s in symbol.elements))
-        if image < best:
-            best = image
-    return ConnectionSet(symbol.n, best)
+    return least_multiplier_image(symbol)
 
 
 def _validate_prime_census_args(p: int, d: int) -> None:
@@ -428,13 +424,7 @@ def naive_census(n: int, d: int) -> CensusRecord:
     if d < 1:
         raise ValueError(f"expected d >= 1, got {d}")
 
-    pair_orbits = []
-    seen: set[int] = set()
-    for s in range(1, n):
-        if s not in seen:
-            orbit = {s, (n - s) % n}
-            pair_orbits.append(tuple(sorted(orbit)))
-            seen.update(orbit)
+    orbits = pair_orbits(n)
 
     def graph_of(symbol: ConnectionSet) -> "nx.Graph":
         g = nx.Graph()
@@ -445,18 +435,16 @@ def naive_census(n: int, d: int) -> CensusRecord:
         return g
 
     survivors: dict[tuple[int, ...], ConnectionSet] = {}
-    for mask in range(2 ** len(pair_orbits)):
+    for mask in range(2 ** len(orbits)):
         elems: set[int] = set()
-        for i, orbit in enumerate(pair_orbits):
+        for i, orbit in enumerate(orbits):
             if mask >> i & 1:
                 elems.update(orbit)
         symbol = make_connection_set(n, elems)
         if not is_connected(symbol) or algebraic_degree(symbol) != d:
             continue
-        key = min(
-            tuple(sorted(m * s % n for s in symbol.elements)) for m in units(n)
-        )
-        survivors.setdefault(key, ConnectionSet(n, key))
+        least = least_multiplier_image(symbol)
+        survivors.setdefault(least.elements, least)
 
     classes: list[tuple[ConnectionSet, "nx.Graph"]] = []
     for symbol in survivors.values():

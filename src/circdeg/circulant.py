@@ -21,7 +21,7 @@ from .unitgroup import (
     ConstructionError,
     Subgroup,
     inverse_symmetric_subgroup,
-    primitive_root,
+    unique_subgroup_mod_prime,
     units,
 )
 
@@ -64,6 +64,15 @@ def make_connection_set(n: int, raw: Iterable[int]) -> ConnectionSet:
         if (n - s) % n not in present:
             raise ValueError(f"missing inverse {(n - s) % n} of {s} mod {n}")
     return ConnectionSet(n, tuple(elems))
+
+
+def pair_orbits(n: int) -> list[tuple[int, int]]:
+    """Orbits (s, n - s) of negation on the nonzero residues, s ascending.
+
+    Every connection set is a union of these; the self-paired orbit of n/2
+    for even n appears as (n/2, n/2).
+    """
+    return [(s, n - s) for s in range(1, n // 2 + 1)]
 
 
 def parse_connection_set(text: str) -> ConnectionSet:
@@ -117,7 +126,7 @@ def coset_union(n: int, subgroup: Subgroup, reps: Iterable[int]) -> ConnectionSe
     """
     if subgroup.n != n:
         raise ValueError(f"subgroup modulus {subgroup.n} does not match {n}")
-    if n >= 3 and (n - 1) not in set(subgroup.elements):
+    if n >= 3 and (n - 1) not in subgroup:
         raise ValueError("subgroup does not contain -1; unions need not be symmetric")
     out: set[int] = set()
     for rep in reps:
@@ -133,6 +142,21 @@ def multiplier_image(symbol: ConnectionSet, m: int) -> ConnectionSet:
     if math.gcd(m, n) != 1:
         raise ValueError(f"{m} is not a unit mod {n}")
     return ConnectionSet(n, tuple(sorted(m * s % n for s in symbol.elements)))
+
+
+def least_multiplier_image(symbol: ConnectionSet) -> ConnectionSet:
+    """The lexicographically least m*S over all units m.
+
+    Multiplier-equivalent symbols share it; at prime order it is therefore
+    a canonical form for isomorphism.
+    """
+    n = symbol.n
+    best = symbol.elements
+    for m in units(n):
+        image = tuple(sorted(m * s % n for s in symbol.elements))
+        if image < best:
+            best = image
+    return ConnectionSet(n, best)
 
 
 def multiplier_isomorphic(
@@ -159,20 +183,13 @@ def minimal_prime_construction(d: int) -> tuple[int, ConnectionSet]:
     """A degree-d circulant graph on the smallest prime p = 1 (mod 2d).
 
     The connection set is the subgroup of d-th power residues mod p (the
-    powers of r^d for a primitive root r); it has (p-1)/d elements and its
-    fixing subgroup is itself, giving degree exactly d.
+    unique subgroup of order (p-1)/d); its fixing subgroup is itself,
+    giving degree exactly d.
     """
     if d < 1:
         raise ValueError(f"expected d >= 1, got {d}")
     p = smallest_prime_1_mod_2d(d)
-    r = primitive_root(p)
-    step = pow(r, d, p)
-    elems = []
-    x = 1
-    for _ in range((p - 1) // d):
-        elems.append(x)
-        x = x * step % p
-    symbol = make_connection_set(p, elems)
+    symbol = make_connection_set(p, unique_subgroup_mod_prime(p, (p - 1) // d).elements)
     if algebraic_degree(symbol) != d:
         raise ConstructionError(f"prime construction for degree {d} failed")
     return p, symbol

@@ -28,7 +28,7 @@ from .circulant import (
     parse_connection_set,
 )
 from .cyclotomic import splitting_field_degree
-from .golden import golden_rows
+from .golden import table_mismatch
 from .integral import (
     as_integral_symbol,
     count_connected_integral,
@@ -133,13 +133,6 @@ def table_csv(rows: Iterable[TableRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _columns_text(rows: Iterable[tuple[int, int, int, bool]]) -> str:
-    lines = ["d,C(d),p_d,strict"]
-    for d, c, p, strict in rows:
-        lines.append(f"{d},{c},{p},{'true' if strict else 'false'}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_deg(args) -> int:
     try:
         symbol = parse_connection_set(args.symbol)
@@ -189,12 +182,12 @@ def cmd_table(args) -> int:
     status = EXIT_OK
     if args.check:
         d_check = min(args.d_max, 100)
-        computed = _columns_text(
-            (r.d, r.c_of_d, r.p_d, r.strict) for r in rows[:d_check]
-        )
-        published = _columns_text(golden_rows(d_check))
-        if computed != published:
-            print("error: computed table deviates from the published table", file=sys.stderr)
+        mismatch = table_mismatch(rows[:d_check], d_check)
+        if mismatch is not None:
+            print(
+                f"error: computed table deviates from the published table: {mismatch}",
+                file=sys.stderr,
+            )
             status = EXIT_GOLDEN_MISMATCH
         else:
             print(f"check ok: {d_check} rows match the published table", file=sys.stderr)

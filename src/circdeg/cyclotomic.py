@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -138,6 +138,21 @@ def _power_matrix(n: int) -> np.ndarray:
     return np.array(table, dtype=np.int64)
 
 
+def _sum_powers(n: int, terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Reduced coefficients of the sum of c * z^e over (e, c) pairs.
+
+    Reduction modulo the n-th cyclotomic polynomial is a sum of power-table
+    rows, one per exponent taken mod n.
+    """
+    table = _power_table(n)
+    acc = [0] * len(table[0])
+    for e, c in terms:
+        if c:
+            for i, r in enumerate(table[e % n]):
+                acc[i] += c * r
+    return tuple(acc)
+
+
 @dataclass(frozen=True)
 class CyclotomicInt:
     """An element of Z[z] for z a primitive n-th root of unity.
@@ -168,29 +183,12 @@ class CyclotomicInt:
             if a:
                 for j, b in enumerate(other.coeffs):
                     conv[i + j] += a * b
-        return CyclotomicInt(self.n, _reduce(self.n, conv))
+        return CyclotomicInt(self.n, _sum_powers(self.n, enumerate(conv)))
 
 
 def _match(a: CyclotomicInt, b: CyclotomicInt) -> None:
     if a.n != b.n:
         raise ValueError(f"conductors differ: {a.n} vs {b.n}")
-
-
-def _reduce(n: int, coeffs: Sequence[int]) -> tuple[int, ...]:
-    """Reduce a polynomial in z modulo the n-th cyclotomic polynomial."""
-    phi = euler_phi(n)
-    modulus = cyclotomic_polynomial(n).coeffs
-    rem = list(coeffs)
-    if len(rem) < phi:
-        rem += [0] * (phi - len(rem))
-    for top in range(len(rem) - 1, phi - 1, -1):
-        q = rem[top]
-        if q:
-            rem[top] = 0
-            # z^top = z^(top-phi) * z^phi with z^phi = -(lower part of modulus)
-            for j in range(phi):
-                rem[top - phi + j] -= q * modulus[j]
-    return tuple(rem[:phi])
 
 
 def integer(n: int, value: int) -> CyclotomicInt:
@@ -210,14 +208,7 @@ def eigenvalue(symbol: ConnectionSet, j: int) -> CyclotomicInt:
     n = symbol.n
     if not 0 <= j < n:
         raise ValueError(f"eigenvalue index {j} out of range for modulus {n}")
-    table = _power_table(n)
-    phi = euler_phi(n)
-    acc = [0] * phi
-    for s in symbol.elements:
-        row = table[j * s % n]
-        for i in range(phi):
-            acc[i] += row[i]
-    return CyclotomicInt(n, tuple(acc))
+    return CyclotomicInt(n, _sum_powers(n, ((j * s, 1) for s in symbol.elements)))
 
 
 def galois_apply(k: int, x: CyclotomicInt) -> CyclotomicInt:
@@ -229,15 +220,8 @@ def galois_apply(k: int, x: CyclotomicInt) -> CyclotomicInt:
     n = x.n
     if math.gcd(k, n) != 1:
         raise ValueError(f"{k} is not a unit mod {n}")
-    table = _power_table(n)
-    phi = len(x.coeffs)
-    acc = [0] * phi
-    for e, c in enumerate(x.coeffs):
-        if c:
-            row = table[k * e % n]
-            for i in range(phi):
-                acc[i] += c * row[i]
-    return CyclotomicInt(n, tuple(acc))
+    terms = ((k * e, c) for e, c in enumerate(x.coeffs))
+    return CyclotomicInt(n, _sum_powers(n, terms))
 
 
 def is_rational_integer(x: CyclotomicInt) -> Optional[int]:

@@ -3,10 +3,16 @@
 One hundred rows of (d, C(d), p_d) where C(d) is the least order of a
 circulant graph of algebraic degree d and p_d is the smallest prime
 congruent to 1 mod 2d.  The strict flag (C(d) < p_d) is derived; it holds
-for exactly 28 of the 100 degrees.
+for exactly 28 of the 100 degrees.  table_mismatch is the one comparison of
+a computed table against these rows.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, Optional, Sequence
+
+if TYPE_CHECKING:
+    from .mintable import TableRow
 
 GOLDEN_TABLE: tuple[tuple[int, int, int], ...] = (
     (1, 1, 3),
@@ -116,3 +122,22 @@ def golden_rows(d_max: int = 100) -> tuple[tuple[int, int, int, bool], ...]:
     if not 1 <= d_max <= len(GOLDEN_TABLE):
         raise ValueError(f"golden data covers 1 <= d_max <= {len(GOLDEN_TABLE)}")
     return tuple((d, c, p, c < p) for d, c, p in GOLDEN_TABLE[:d_max])
+
+
+def table_mismatch(rows: Sequence["TableRow"], d_max: int) -> Optional[str]:
+    """None when rows equal the published rows 1..d_max, else what differs.
+
+    Names the row counts when they differ, otherwise the first differing row
+    as d with the computed and published (C, p, strict).
+    """
+    published = golden_rows(d_max)
+    if len(rows) != len(published):
+        return f"computed {len(rows)} rows, published {len(published)}"
+    for row, want in zip(rows, published):
+        got = (row.d, row.c_of_d, row.p_d, row.strict)
+        if got != want:
+            return (
+                f"row d = {want[0]}: computed (C, p, strict) = {got[1:]}, "
+                f"published {want[1:]}"
+            )
+    return None

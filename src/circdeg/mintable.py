@@ -73,8 +73,4 @@ def degree_table(d_max: int) -> tuple[TableRow, ...]:
 
 def strict_rows(d_max: int) -> tuple[int, ...]:
     """All degrees up to d_max where the minimal order beats the prime bound."""
-    return tuple(
-        d
-        for d in range(1, d_max + 1)
-        if min_order_for_degree(d) < smallest_prime_1_mod_2d(d)
-    )
+    return tuple(r.d for r in degree_table(d_max) if r.strict)

@@ -32,20 +32,9 @@ class UnitGroup:
     n: int
     factor_generators: tuple[tuple[int, int], ...]
 
-    def identity(self) -> int:
-        return 1 % self.n
-
     def elements(self) -> tuple[int, ...]:
-        """Every unit exactly once, by exponent enumeration (unsorted)."""
-        result = [self.identity()]
-        for g, order in self.factor_generators:
-            powers = []
-            x = 1 % self.n
-            for _ in range(order):
-                powers.append(x)
-                x = x * g % self.n
-            result = [r * w % self.n for w in powers for r in result]
-        return tuple(result)
+        """Every unit exactly once, ascending, spanned by the factor generators."""
+        return _span(self.n, self.factor_generators)
 
 
 @dataclass(frozen=True)
@@ -56,7 +45,7 @@ class Subgroup:
     elements: tuple[int, ...]
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
+        return x in self.elements
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -246,15 +235,7 @@ def unique_subgroup_mod_prime(p: int, m: int) -> Subgroup:
         raise ValueError(f"{p} is not prime")
     if m < 1 or (p - 1) % m != 0:
         raise ValueError(f"{m} does not divide {p} - 1")
-    if m == 1:
-        return Subgroup(p, (1,))
-    h = pow(primitive_root(p), (p - 1) // m, p)
-    elems = []
-    x = 1
-    for _ in range(m):
-        elems.append(x)
-        x = x * h % p
-    return Subgroup(p, tuple(sorted(elems)))
+    return subgroup_of_order(p, m)
 
 
 def cosets(n: int, subgroup: Subgroup) -> tuple[tuple[int, ...], ...]:

@@ -25,7 +25,6 @@ from .census import (
     power_sum_nonvanishing,
     prime_census,
     prime_order_upper_bound,
-    witness_family,
 )
 from .circulant import (
     ConnectionSet,
@@ -33,10 +32,11 @@ from .circulant import (
     make_connection_set,
     minimal_prime_construction,
     multiplier_isomorphic,
+    pair_orbits,
     regular_construction,
 )
 from .cyclotomic import _power_matrix, splitting_field_degree
-from .golden import golden_rows
+from .golden import table_mismatch
 from .integral import (
     count_connected_integral,
     count_connected_integral_bruteforce,
@@ -150,16 +150,6 @@ if _HAVE_NUMBA:
         return mismatches, first_bad
 
 
-def _pair_orbits(n: int) -> list[tuple[int, int]]:
-    """Orbits of s -> n - s on the nonzero residues: the symbol building blocks."""
-    orbits = []
-    for s in range(1, n):
-        t = n - s
-        if s <= t:
-            orbits.append((s, t if t < n else s))
-    return orbits
-
-
 def exhaustive_oracle_sweep(n: int) -> tuple[int, int, int]:
     """Compare unit-group degree and eigenvalue degree on every symbol mod n.
 
@@ -171,7 +161,7 @@ def exhaustive_oracle_sweep(n: int) -> tuple[int, int, int]:
     empty = ConnectionSet(n, ())
     if algebraic_degree(empty) != 1 or splitting_field_degree(empty) != 1:
         return 1, 1, 0  # pragma: no cover
-    orbits = _pair_orbits(n)
+    orbits = pair_orbits(n)
     if not orbits:
         return 1, 0, -1
     power = _power_matrix(n)
@@ -199,7 +189,7 @@ def random_symbols(count: int, n_lo: int, n_hi: int, seed: int):
     rng = random.Random(seed)
     for i in range(count):
         n = rng.randint(n_lo, n_hi)
-        orbits = _pair_orbits(n)
+        orbits = pair_orbits(n)
         include_prob = 0.5 if i % 2 == 0 else min(1.0, 4.0 / len(orbits))
         elems: set[int] = set()
         for lo, hi in orbits:
@@ -214,11 +204,8 @@ def random_symbols(count: int, n_lo: int, n_hi: int, seed: int):
 
 def check_table_golden(d_max: int = 100) -> CheckResult:
     def body() -> str:
-        rows = degree_table(d_max)
-        computed = [(r.d, r.c_of_d, r.p_d, r.strict) for r in rows]
-        expected = list(golden_rows(d_max))
-        for got, want in zip(computed, expected):
-            assert got == want, f"table row mismatch: computed {got}, published {want}"
+        mismatch = table_mismatch(degree_table(d_max), d_max)
+        assert mismatch is None, f"table mismatch: {mismatch}"
         return f"{d_max} rows match the published table"
 
     return _run("table-reproduction", body)
@@ -265,19 +252,26 @@ def check_example_census(p: int, d: int) -> CheckResult:
     return _run(f"census-{p}-{d}", body)
 
 
+def _prime_order_degrees(p_max: int):
+    """(p, d) for odd primes p <= p_max and every d > 1 dividing (p-1)/2."""
+    for p in range(5, p_max + 1, 2):
+        if is_prime(p):
+            for d in divisors((p - 1) // 2)[1:]:
+                yield p, d
+
+
 def check_prime_degree_counts(p_max: int = 300) -> CheckResult:
     def body() -> str:
         pairs = 0
-        for d in (2, 3, 5, 7):
-            for p in range(3, p_max + 1, 2):
-                if not is_prime(p) or ((p - 1) // 2) % d != 0:
-                    continue
-                record = prime_census(p, d)
-                want = (2**d - 2) // d
-                assert record.value == want, (
-                    f"census({p},{d}) = {record.value}, expected {want}"
-                )
-                pairs += 1
+        for p, d in _prime_order_degrees(p_max):
+            if d not in (2, 3, 5, 7):
+                continue
+            record = prime_census(p, d)
+            want = (2**d - 2) // d
+            assert record.value == want, (
+                f"census({p},{d}) = {record.value}, expected {want}"
+            )
+            pairs += 1
         return f"{pairs} (p, d) pairs match (2^d - 2)/d"
 
     return _run("prime-degree-exact-counts", body)
@@ -286,19 +280,14 @@ def check_prime_degree_counts(p_max: int = 300) -> CheckResult:
 def check_sandwich(p_max: int = 200) -> CheckResult:
     def body() -> str:
         pairs = 0
-        for p in range(5, p_max + 1, 2):
-            if not is_prime(p):
-                continue
-            for d in divisors((p - 1) // 2):
-                if d == 1:
-                    continue
-                low, _ = lower_bound(p, d)
-                mid = prime_census(p, d).value
-                high = prime_order_upper_bound(d)
-                assert low <= mid <= high, (
-                    f"sandwich fails at (p={p}, d={d}): {low} <= {mid} <= {high}"
-                )
-                pairs += 1
+        for p, d in _prime_order_degrees(p_max):
+            low, _ = lower_bound(p, d)
+            mid = prime_census(p, d).value
+            high = prime_order_upper_bound(d)
+            assert low <= mid <= high, (
+                f"sandwich fails at (p={p}, d={d}): {low} <= {mid} <= {high}"
+            )
+            pairs += 1
         return f"{pairs} (p, d) pairs satisfy lower <= census <= upper"
 
     return _run("sandwich-bounds", body)
@@ -382,17 +371,12 @@ def check_constructions(n_max: int = 200, d_prime_max: int = 100) -> CheckResult
 def check_power_sums(p_max: int = 200) -> CheckResult:
     def body() -> str:
         triples = 0
-        for p in range(5, p_max, 2):
-            if not is_prime(p):
-                continue
-            for d in divisors((p - 1) // 2):
-                if d == 1:
-                    continue
-                for m in range(1, d):
-                    assert power_sum_nonvanishing(p, d, m), (
-                        f"power sum vanishes at (p={p}, d={d}, m={m})"
-                    )
-                    triples += 1
+        for p, d in _prime_order_degrees(p_max):
+            for m in range(1, d):
+                assert power_sum_nonvanishing(p, d, m), (
+                    f"power sum vanishes at (p={p}, d={d}, m={m})"
+                )
+                triples += 1
         return f"{triples} (p, d, m) power sums are nonzero mod p"
 
     return _run("power-sum-nonvanishing", body)
@@ -409,28 +393,6 @@ def check_arithmetic_identities(n_max: int = 2000) -> CheckResult:
         return f"divisor-sum identities for n <= {n_max}"
 
     return _run("arithmetic-identities", body)
-
-
-def check_lower_bound_witnesses(n_max: int = 60) -> CheckResult:
-    def body() -> str:
-        families = 0
-        for n in range(3, n_max + 1):
-            for d in divisors(euler_phi(n) // 2):
-                if d == 1:
-                    continue
-                family = witness_family(n, d)
-                value, _ = lower_bound(n, d)
-                assert len(family) == value
-                valencies = [w.valency() for w in family]
-                assert len(set(valencies)) == len(valencies), (
-                    f"witness valencies collide for (n={n}, d={d})"
-                )
-                for w in family:
-                    assert algebraic_degree(w) == d
-                families += 1
-        return f"{families} witness families realize their lower bounds"
-
-    return _run("lower-bound-witnesses", body)
 
 
 def fast_suite() -> list[CheckResult]:

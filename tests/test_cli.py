@@ -73,9 +73,9 @@ def test_table_check_passes(capsys):
 
 
 def test_table_check_detects_mismatch(capsys, monkeypatch):
-    import circdeg.cli as cli_module
+    import circdeg.golden as golden_module
 
-    good = cli_module.golden_rows
+    good = golden_module.golden_rows
 
     def corrupted(d_max=100):
         rows = list(good(d_max))
@@ -83,10 +83,11 @@ def test_table_check_detects_mismatch(capsys, monkeypatch):
         rows[3] = (d, c + 1, p, strict)
         return tuple(rows)
 
-    monkeypatch.setattr(cli_module, "golden_rows", corrupted)
+    monkeypatch.setattr(golden_module, "golden_rows", corrupted)
     code, _, err = run(capsys, "table", "10", "--check")
     assert code == EXIT_GOLDEN_MISMATCH
     assert "deviates" in err
+    assert "d = 4" in err
 
 
 def test_table_usage_error(capsys):

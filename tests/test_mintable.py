@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 
 from circdeg.circulant import algebraic_degree, is_connected
 from circdeg.cyclotomic import splitting_field_degree
-from circdeg.golden import GOLDEN_TABLE, golden_rows
+from circdeg.golden import GOLDEN_TABLE, golden_rows, table_mismatch
 from circdeg.mintable import degree_table, min_order_for_degree, strict_rows
 from circdeg.numtheory import euler_phi, is_prime, smallest_prime_1_mod_2d
 
@@ -47,6 +49,17 @@ def test_degree_table_row_27():
 def test_table_matches_golden_data():
     rows = degree_table(100)
     assert [(r.d, r.c_of_d, r.p_d, r.strict) for r in rows] == list(golden_rows(100))
+
+
+def test_table_mismatch_names_count_and_first_row():
+    rows = degree_table(5)
+    assert table_mismatch(rows, 5) is None
+    assert table_mismatch(rows[:4], 5) == "computed 4 rows, published 5"
+    bad = rows[:3] + (dataclasses.replace(rows[3], c_of_d=16),) + rows[4:]
+    assert table_mismatch(bad, 5) == (
+        "row d = 4: computed (C, p, strict) = (16, 17, True), "
+        "published (15, 17, True)"
+    )
 
 
 def test_table_witnesses_verified_both_routes():

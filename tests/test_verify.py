@@ -1,19 +1,22 @@
-from circdeg import numtheory, verify
-from circdeg.circulant import algebraic_degree, make_connection_set
+import ast
+import inspect
+
+from circdeg import cyclotomic, integral, numtheory, verify
+from circdeg.circulant import algebraic_degree, make_connection_set, pair_orbits
 from circdeg.cyclotomic import splitting_field_degree
 
 
 def test_pair_orbits():
-    assert verify._pair_orbits(1) == []
-    assert verify._pair_orbits(2) == [(1, 1)]
-    assert verify._pair_orbits(5) == [(1, 4), (2, 3)]
-    assert verify._pair_orbits(6) == [(1, 5), (2, 4), (3, 3)]
+    assert pair_orbits(1) == []
+    assert pair_orbits(2) == [(1, 1)]
+    assert pair_orbits(5) == [(1, 4), (2, 3)]
+    assert pair_orbits(6) == [(1, 5), (2, 4), (3, 3)]
 
 
 def test_sweep_agrees_with_public_functions_exhaustively():
     for n in (1, 2, 5, 8, 9, 12):
         checked, bad, first = verify.exhaustive_oracle_sweep(n)
-        orbits = verify._pair_orbits(n)
+        orbits = pair_orbits(n)
         assert checked == 2 ** len(orbits)
         assert bad == 0 and first == -1
         for mask in range(2 ** len(orbits)):
@@ -23,6 +26,34 @@ def test_sweep_agrees_with_public_functions_exhaustively():
                     elems.update((lo, hi))
             symbol = make_connection_set(n, elems)
             assert algebraic_degree(symbol) == splitting_field_degree(symbol)
+
+
+def _referenced_names(obj) -> set[str]:
+    """Every name, attribute and imported name in obj's source."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(obj))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_independent_routes_share_no_code():
+    # The eigenvalue oracle must never see the fixing-subgroup route ...
+    oracle = _referenced_names(cyclotomic) | set(vars(cyclotomic))
+    assert not oracle & {"fixing_subgroup", "algebraic_degree"}
+    # ... and integral enumeration must never see the Mobius closed form.
+    brute = _referenced_names(integral.count_connected_integral_bruteforce)
+    assert not brute & {"mobius", "count_connected_integral"}
+
+
+def test_power_sums_include_p_max():
+    result = verify.check_power_sums(13)
+    assert result.passed
+    assert result.detail.startswith("15 (p, d, m) power sums")
 
 
 def test_random_symbols_are_deterministic():
