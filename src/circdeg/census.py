@@ -25,7 +25,6 @@ from .circulant import (
     is_connected,
     least_multiplier_image,
     make_connection_set,
-    multiplier_isomorphic,
     pair_orbits,
 )
 from .numtheory import (
@@ -140,16 +139,13 @@ def _rotate(mask: int, shift: int, d: int) -> int:
     return ((mask << shift) | (mask >> (d - shift))) & full
 
 
-def _period(mask: int, d: int) -> int:
-    """Smallest t | d with the mask invariant under rotation by t."""
-    for t in divisors(d):
-        if _rotate(mask, t, d) == mask:
-            return t
-    raise AssertionError("unreachable: rotation by d is the identity")
-
-
-def _canonical_mask(mask: int, d: int) -> int:
-    return min(_rotate(mask, s, d) for s in range(d))
+def _prime_cosets(p: int, d: int) -> tuple[Subgroup, list[int]]:
+    """The subgroup H of order (p-1)/d mod p and the coset representatives
+    r^0, ..., r^(d-1) for the least primitive root r; multiplying by r
+    shifts coset indices by one."""
+    r = primitive_root(p)
+    subgroup = unique_subgroup_mod_prime(p, (p - 1) // d)
+    return subgroup, [pow(r, i, p) for i in range(d)]
 
 
 def canonical_form(symbol: ConnectionSet) -> ConnectionSet:
@@ -191,24 +187,16 @@ def prime_census(
     if d > enumeration_limit:
         return CensusRecord(p, d, "exact", formula_count, (), "aperiodic-subset-formula")
 
-    r = primitive_root(p)
-    subgroup = unique_subgroup_mod_prime(p, (p - 1) // d)
-    h_elems = subgroup.elements
-    coset_by_index = [
-        tuple(pow(r, i, p) * h % p for h in h_elems) for i in range(d)
-    ]
+    subgroup, reps = _prime_cosets(p, d)
     witnesses = []
-    count = 0
     for mask in range(1, 2**d - 1):
-        if _canonical_mask(mask, d) != mask:
+        rotations = [_rotate(mask, s, d) for s in range(d)]
+        if min(rotations) != mask:
             continue
-        elems: set[int] = set()
-        for i in range(d):
-            if mask >> i & 1:
-                elems.update(coset_by_index[i])
-        symbol = make_connection_set(p, elems)
-        keeps = fixing_subgroup(symbol).elements == h_elems
-        aperiodic = _period(mask, d) == d
+        symbol = coset_union(p, subgroup, [reps[i] for i in range(d) if mask >> i & 1])
+        keeps = fixing_subgroup(symbol).elements == subgroup.elements
+        # the stabilizer of a mask of period t has d / t rotations
+        aperiodic = rotations.count(mask) == 1
         if keeps != aperiodic:  # pragma: no cover
             raise ConstructionError(
                 f"coset model mismatch at p={p}, d={d}, mask={mask:b}"
@@ -219,40 +207,15 @@ def prime_census(
                 f"coprime-size subset not fixed exactly by H at p={p}, d={d}"
             )
         if keeps:
-            count += 1
             witnesses.append(canonical_form(symbol))
-    if count != formula_count:  # pragma: no cover
+    if len(witnesses) != formula_count:  # pragma: no cover
         raise AssertionError(
-            f"enumerated {count} orbits but formula gives {formula_count}"
+            f"enumerated {len(witnesses)} orbits but formula gives {formula_count}"
         )
     witnesses.sort(key=lambda s: (s.valency(), s.elements))
     return CensusRecord(
-        p, d, "exact", count, tuple(witnesses), "coset-orbit-enumeration"
+        p, d, "exact", len(witnesses), tuple(witnesses), "coset-orbit-enumeration"
     )
-
-
-class _Quotient:
-    """The quotient of the units mod n by a subgroup, as indexed cosets."""
-
-    def __init__(self, n: int, subgroup: Subgroup):
-        self.n = n
-        self.cosets = cosets(n, subgroup)
-        self.index_of = {
-            x: i for i, coset in enumerate(self.cosets) for x in coset
-        }
-
-    def __len__(self) -> int:
-        return len(self.cosets)
-
-    def multiply(self, i: int, j: int) -> int:
-        return self.index_of[self.cosets[i][0] * self.cosets[j][0] % self.n]
-
-    def order(self, i: int) -> int:
-        power, t = i, 1
-        while power != 0:
-            power = self.multiply(power, i)
-            t += 1
-        return t
 
 
 def lower_bound(n: int, d: int) -> tuple[int, str]:
@@ -302,23 +265,24 @@ def witness_family(n: int, d: int) -> tuple[ConnectionSet, ...]:
     target, rule = lower_bound(n, d)
 
     if rule == "prime-order":
-        r = primitive_root(n)
-        subgroup = unique_subgroup_mod_prime(n, (n - 1) // d)
-        reps = [pow(r, i, n) for i in range(d - 1)]
-        family = [
-            _verified(n, d, subgroup, reps[:m]) for m in range(1, d)
-        ]
+        subgroup, reps = _prime_cosets(n, d)
+        family = [_verified(n, d, subgroup, reps[:m]) for m in range(1, d)]
     else:
         subgroup = inverse_symmetric_subgroup(n, euler_phi(n) // d)
-        quotient = _Quotient(n, subgroup)
+        reps = [coset[0] for coset in cosets(n, subgroup)]
+        # coset indices grouped by the order of x*H, the least t | d with x^t in H
+        orders: dict[int, list[int]] = {}
+        divs = divisors(d)
+        for i, x in enumerate(reps):
+            t = next(t for t in divs if pow(x, t, n) in subgroup)
+            orders.setdefault(t, []).append(i)
         if rule == "square-free":
-            chain_cosets = _square_free_chain(quotient, d)
+            chain_cosets = _square_free_chain(orders, d)
         else:
-            chain_cosets = _coprime_chain(quotient, d, with_primes=(rule == "phi-plus-omega"))
-        family = []
-        for kept in chain_cosets:
-            reps = [quotient.cosets[i][0] for i in kept]
-            family.append(_verified(n, d, subgroup, reps))
+            chain_cosets = _coprime_chain(orders, d, with_primes=(rule == "phi-plus-omega"))
+        family = [
+            _verified(n, d, subgroup, [reps[i] for i in kept]) for kept in chain_cosets
+        ]
     if len(family) != target:  # pragma: no cover
         raise ConstructionError(
             f"built {len(family)} witnesses for (n={n}, d={d}), expected {target}"
@@ -326,21 +290,14 @@ def witness_family(n: int, d: int) -> tuple[ConnectionSet, ...]:
     return tuple(family)
 
 
-def _elements_by_order(quotient: _Quotient) -> dict[int, list[int]]:
-    orders: dict[int, list[int]] = {}
-    for i in range(len(quotient)):
-        orders.setdefault(quotient.order(i), []).append(i)
-    return orders
-
-
-def _square_free_chain(quotient: _Quotient, d: int) -> list[list[int]]:
+def _square_free_chain(orders: dict[int, list[int]], d: int) -> list[list[int]]:
     """Nested coset-index sets realizing the d - omega(d) bound.
 
-    The quotient is cyclic (square-free order), so adjoining all elements of
+    `orders` groups the coset indices by their order in the quotient.  The
+    quotient is cyclic (square-free order), so adjoining all elements of
     each order except one element per prime order never encloses a nontrivial
     subgroup; every prefix therefore has trivial stabilizer.
     """
-    orders = _elements_by_order(quotient)
     if max(orders) != d:
         raise ConstructionError("quotient is not cyclic; expected square-free order")
     chain = [0]
@@ -358,9 +315,12 @@ def _square_free_chain(quotient: _Quotient, d: int) -> list[list[int]]:
     return prefixes
 
 
-def _coprime_chain(quotient: _Quotient, d: int, with_primes: bool) -> list[list[int]]:
+def _coprime_chain(
+    orders: dict[int, list[int]], d: int, with_primes: bool
+) -> list[list[int]]:
     """Prefix sets of sizes coprime to d (plus prime sizes when requested).
 
+    `orders` groups the coset indices 0..d-1 by their order in the quotient.
     When d is not a prime power the second and third chain elements are
     chosen with orders p_2 and p_1 (the two smallest primes dividing d), so
     that prime-size prefixes are never subgroups; together with the sizes
@@ -368,13 +328,12 @@ def _coprime_chain(quotient: _Quotient, d: int, with_primes: bool) -> list[list[
     """
     head = [0]
     if with_primes:
-        orders = _elements_by_order(quotient)
         primes = [q for q in sorted(orders) if q != 1 and is_prime(q)]
         p1, p2 = primes[0], primes[1]
         x2 = orders[p2][0]
         x3 = [i for i in orders[p1] if i != x2][0]
         head += [x2, x3]
-    chain = head + [i for i in range(1, len(quotient)) if i not in head]
+    chain = head + [i for i in range(1, d) if i not in head]
     wanted = {m for m in range(1, d) if math.gcd(m, d) == 1}
     if with_primes:
         wanted.update(q for q in divisors(d) if q != 1 and is_prime(q))
@@ -399,15 +358,10 @@ def power_sum_nonvanishing(p: int, d: int, m: int) -> bool:
     _validate_prime_census_args(p, d)
     if not 1 <= m <= d - 1:
         raise ValueError(f"need 1 <= m <= d-1, got {m}")
-    r = primitive_root(p)
-    subgroup = unique_subgroup_mod_prime(p, (p - 1) // d)
+    subgroup, reps = _prime_cosets(p, d)
     exponent = (p - 1) // d
-    total = 0
-    for i in range(m):
-        shift = pow(r, i, p)
-        for h in subgroup.elements:
-            total += pow(shift * h % p, exponent, p)
-    return total % p != 0
+    union = coset_union(p, subgroup, reps[:m])
+    return sum(pow(x, exponent, p) for x in union.elements) % p != 0
 
 
 def naive_census(n: int, d: int) -> CensusRecord:
@@ -416,6 +370,7 @@ def naive_census(n: int, d: int) -> CensusRecord:
     Enumerates every inverse-symmetric connection set, keeps the connected
     ones of degree exactly d, groups them by multiplier equivalence, and then
     merges groups that are genuinely isomorphic (VF2 on the realized graphs).
+    Needs networkx, which the optional `toy` extra installs.
     """
     import networkx as nx
 
@@ -463,10 +418,11 @@ def naive_census(n: int, d: int) -> CensusRecord:
 
 
 def multiplier_orbit_check(record: CensusRecord) -> bool:
-    """Sanity check: materialized witnesses are pairwise non-multiplier-equivalent."""
+    """Sanity check: materialized witnesses are pairwise non-multiplier-equivalent.
+
+    The least multiplier image is shared exactly by multiplier-equivalent
+    symbols, so the witnesses are pairwise inequivalent iff their least
+    images are distinct.
+    """
     ws = record.witnesses
-    for i in range(len(ws)):
-        for j in range(i + 1, len(ws)):
-            if multiplier_isomorphic(ws[i], ws[j]) is not None:
-                return False
-    return True
+    return len({least_multiplier_image(w) for w in ws}) == len(ws)

@@ -62,11 +62,7 @@ class ResultEnvelope:
     def from_json(line: str) -> "ResultEnvelope":
         data = json.loads(line)
         return ResultEnvelope(
-            command=data["command"],
-            inputs=data["inputs"],
-            output=data["output"],
-            library_version=data["library_version"],
-            timestamp=data["timestamp"],
+            **{f.name: data[f.name] for f in dataclasses.fields(ResultEnvelope)}
         )
 
 

@@ -177,13 +177,8 @@ class CyclotomicInt:
 
     def __mul__(self, other: "CyclotomicInt") -> "CyclotomicInt":
         _match(self, other)
-        phi = len(self.coeffs)
-        conv = [0] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    conv[i + j] += a * b
-        return CyclotomicInt(self.n, _sum_powers(self.n, enumerate(conv)))
+        product = IntPolynomial.of(*self.coeffs) * IntPolynomial.of(*other.coeffs)
+        return CyclotomicInt(self.n, _sum_powers(self.n, enumerate(product.coeffs)))
 
 
 def _match(a: CyclotomicInt, b: CyclotomicInt) -> None:

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from circdeg.census import (
+    CensusRecord,
     admits_degree,
     aperiodic_subset_count,
     canonical_form,
@@ -260,6 +261,41 @@ def test_witness_family_ranges():
             for w in family:
                 assert algebraic_degree(w) == d
                 assert is_connected(w)
+
+
+def test_witness_family_composite_outputs_are_pinned():
+    # exact members, one case per composite rule: a change in the coset
+    # indexing or the chain order shows here, not only in counts
+    expected = {
+        (35, 6, "square-free"): [
+            "35:1,6,29,34",
+            "35:1,4,6,11,24,29,31,34",
+            "35:1,2,4,6,11,12,23,24,29,31,33,34",
+            "35:1,2,3,4,6,11,12,17,18,23,24,29,31,32,33,34",
+        ],
+        (16, 4, "phi"): ["16:1,15", "16:1,3,5,11,13,15"],
+        (35, 12, "phi-plus-omega"): [
+            "35:1,34",
+            "35:1,11,24,34",
+            "35:1,6,11,24,29,34",
+            "35:1,2,3,6,11,24,29,32,33,34",
+            "35:1,2,3,4,6,8,11,24,27,29,31,32,33,34",
+            "35:1,2,3,4,6,8,9,11,12,13,16,19,22,23,24,26,27,29,31,32,33,34",
+        ],
+    }
+    for (n, d, rule), encoded in expected.items():
+        assert lower_bound(n, d)[1] == rule
+        assert [w.encode() for w in witness_family(n, d)] == encoded
+
+
+def test_multiplier_orbit_check_flags_equivalent_witnesses():
+    first = make_connection_set(11, {1, 10})
+    doubled = make_connection_set(11, {2, 9})  # 2 * {1, 10}
+    other = make_connection_set(11, {1, 2, 9, 10})
+    record = CensusRecord(11, 5, "exact", 3, (first, other, doubled), "test")
+    assert not multiplier_orbit_check(record)
+    honest = CensusRecord(11, 5, "exact", 2, (first, other), "test")
+    assert multiplier_orbit_check(honest)
 
 
 def test_lower_bound_census_record():
