@@ -67,12 +67,25 @@ class ResultEnvelope:
 
 
 def append_cache(path: str, envelope: ResultEnvelope) -> None:
-    """Append one envelope as a single line; whole-line writes stay atomic."""
+    """Append one envelope as a single line with one O_APPEND write.
+
+    One write call on an O_APPEND descriptor lands as a whole at the end of
+    the file, so lines from concurrent writers never interleave; a short
+    write raises.
+    """
+    data = (envelope.to_json() + "\n").encode("utf-8")
     try:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(envelope.to_json() + "\n")
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            written = os.write(fd, data)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise OSError(f"cannot append to cache {path}: {exc}") from exc
+    if written != len(data):
+        raise OSError(
+            f"cannot append to cache {path}: wrote {written} of {len(data)} bytes"
+        )
 
 
 def read_cache(path: str) -> list[ResultEnvelope]:
@@ -81,14 +94,14 @@ def read_cache(path: str) -> list[ResultEnvelope]:
         return []
     out = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    out.append(ResultEnvelope.from_json(line))
-                except (json.JSONDecodeError, KeyError, TypeError):
+                    out.append(ResultEnvelope.from_json(line.decode("utf-8")))
+                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                     print(
                         f"warning: skipping corrupt cache line {lineno} in {path}",
                         file=sys.stderr,
@@ -146,14 +159,21 @@ def cmd_deg(args) -> int:
         "connected": connected,
         "integral": integral.encode() if integral is not None else None,
     }
+    if args.oracle:
+        # Before any output, so that a symbol over the oracle's size limit
+        # prints no partial report.
+        try:
+            report["oracle"] = splitting_field_degree(symbol)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     print(f"degree {degree}")
     print(f"fix-order {fix_order}")
     print(f"valency {symbol.valency()}")
     print(f"connected {'true' if connected else 'false'}")
     print(f"integral {integral.encode() if integral is not None else 'no'}")
     if args.oracle:
-        oracle = splitting_field_degree(symbol)
-        report["oracle"] = oracle
+        oracle = report["oracle"]
         print(f"oracle {oracle}")
         if oracle != degree:
             print(

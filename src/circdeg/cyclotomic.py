@@ -22,9 +22,17 @@ from .circulant import ConnectionSet
 from .numtheory import divisors, euler_phi
 from .unitgroup import units
 
-# Keeping reduced coefficients below this bound guarantees that the int64
-# matrix products in the fast paths cannot overflow for n <= 2000.
+# The int64 power table is exact by construction: _power_matrix rejects any
+# n whose cyclotomic polynomial has a coefficient of size _PHI_COEFF_BOUND or
+# more, and any row with an entry of size _COEFF_BOUND or more as it is
+# written.  A reduction step computes shift - top * low with |shift|, |top|
+# < 2^40 and |low| < 2^22, so it stays below 2^40 + 2^62 < 2^63.  The table
+# has at most _MAX_TABLE_CELLS = n * phi(n) cells; since phi(n) >= sqrt(n/2)
+# that keeps n < 2^19, so eigenvalue_matrix, which adds at most n rows of
+# entries below 2^40, stays below 2^59.
 _COEFF_BOUND = 1 << 40
+_PHI_COEFF_BOUND = 1 << 22
+_MAX_TABLE_CELLS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -107,35 +115,42 @@ def cyclotomic_polynomial(n: int) -> IntPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row e holds the reduced coefficients of z^e, for e = 0..n-1."""
+def _power_matrix(n: int) -> np.ndarray:
+    """Row e holds the reduced coefficients of z^e, for e = 0..n-1, as int64.
+
+    Raises ValueError past the table size limit, before any work, and
+    ArithmeticError where a coefficient would leave the exact int64 range.
+    """
     phi = euler_phi(n)
-    modulus = cyclotomic_polynomial(n).coeffs
-    rows = []
-    row = [0] * phi
-    row[0] = 1
-    for _ in range(n):
-        rows.append(tuple(row))
-        shifted = [0] + row[:-1]
-        top = row[-1]
-        if top:
-            # x^phi = -(lower part of the cyclotomic polynomial)
-            for i in range(phi):
-                shifted[i] -= top * modulus[i]
-        row = shifted
-    return tuple(rows)
+    if n * phi > _MAX_TABLE_CELLS:
+        raise ValueError(
+            f"power table for n = {n} has {n * phi} cells, over the limit of "
+            f"{_MAX_TABLE_CELLS}"
+        )
+    # x^phi = -(lower part of the cyclotomic polynomial)
+    low = np.array(cyclotomic_polynomial(n).coeffs[:phi], dtype=np.int64)
+    if np.abs(low).max() >= _PHI_COEFF_BOUND:
+        raise ArithmeticError(
+            f"cyclotomic polynomial coefficients for n = {n} exceed the int64 bound"
+        )
+    table = np.zeros((n, phi), dtype=np.int64)
+    table[0, 0] = 1
+    for e in range(1, n):
+        prev, row = table[e - 1], table[e]
+        row[1:] = prev[:-1]
+        if prev[-1]:
+            row -= prev[-1] * low
+        if np.abs(row).max() >= _COEFF_BOUND:
+            raise ArithmeticError(
+                f"reduced power coefficients for n = {n} exceed the int64 bound"
+            )
+    return table
 
 
 @lru_cache(maxsize=None)
-def _power_matrix(n: int) -> np.ndarray:
-    """The power table as an int64 matrix, with an overflow guard."""
-    table = _power_table(n)
-    peak = max((abs(c) for row in table for c in row), default=0)
-    if peak >= _COEFF_BOUND:
-        raise ArithmeticError(
-            f"reduced power coefficients for n = {n} exceed the fast-path bound"
-        )
-    return np.array(table, dtype=np.int64)
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The power table as Python ints, for the exact scalar arithmetic."""
+    return tuple(map(tuple, _power_matrix(n).tolist()))
 
 
 def _sum_powers(n: int, terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:

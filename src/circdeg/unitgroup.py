@@ -51,6 +51,7 @@ class Subgroup:
         return len(self.elements)
 
 
+@lru_cache(maxsize=None)
 def units(n: int) -> tuple[int, ...]:
     """All residues in [0, n) coprime to n, ascending; (0,) for n = 1."""
     if n < 1:

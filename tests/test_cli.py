@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 
+import pytest
+
 from circdeg.cli import (
     EXIT_DISAGREEMENT,
     EXIT_GOLDEN_MISMATCH,
@@ -156,6 +158,21 @@ def test_deg_oracle_disagreement_exit_code(capsys, monkeypatch):
     assert "disagrees" in err
 
 
+def test_deg_oracle_over_size_limit_prints_nothing(capsys, monkeypatch):
+    import circdeg.cyclotomic as cyclotomic_module
+
+    # 12:1,11 needs a 12 x 4 power table.
+    monkeypatch.setattr(cyclotomic_module, "_MAX_TABLE_CELLS", 47)
+    cyclotomic_module._power_matrix.cache_clear()
+    try:
+        code, out, err = run(capsys, "deg", "12:1,11", "--oracle")
+    finally:
+        cyclotomic_module._power_matrix.cache_clear()
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "48 cells" in err and "limit of 47" in err
+
+
 def test_envelope_round_trip():
     env = ResultEnvelope(
         command="census",
@@ -183,6 +200,15 @@ def test_cache_reader_tolerates_junk(tmp_path, capsys):
     got = read_cache(str(path))
     assert got == [env, env]
     assert "skipping corrupt cache line" in capsys.readouterr().err
+
+
+def test_cache_reader_skips_invalid_utf8(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    env = ResultEnvelope("deg", {}, {}, "0.1.0", 3)
+    good = env.to_json().encode("utf-8") + b"\n"
+    path.write_bytes(good + b"\xff\xfe garbage\n" + good)
+    assert read_cache(str(path)) == [env, env]
+    assert "skipping corrupt cache line 2" in capsys.readouterr().err
 
 
 def test_cache_reader_tolerates_unknown_fields(tmp_path):
@@ -217,17 +243,18 @@ def test_cli_writes_cache_via_env(tmp_path, capsys, monkeypatch):
     assert read_cache(path)[0].command == "integral"
 
 
-def _worker(path, tag, count):
+def _worker(path, tag, count, output):
     for i in range(count):
         append_cache(
-            path, ResultEnvelope("deg", {"tag": tag, "i": i}, None, "0.1.0", 0)
+            path, ResultEnvelope("deg", {"tag": tag, "i": i}, output, "0.1.0", 0)
         )
 
 
-def test_concurrent_appends_keep_whole_lines(tmp_path):
+@pytest.mark.parametrize("output", [None, "x" * 65536], ids=["small", "64k"])
+def test_concurrent_appends_keep_whole_lines(tmp_path, output):
     path = str(tmp_path / "concurrent.jsonl")
     procs = [
-        multiprocessing.Process(target=_worker, args=(path, tag, 200))
+        multiprocessing.Process(target=_worker, args=(path, tag, 200, output))
         for tag in ("a", "b")
     ]
     for p in procs:

@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+import circdeg.cyclotomic as cyclotomic_module
 from circdeg.circulant import algebraic_degree, make_connection_set
 from circdeg.cyclotomic import (
     CyclotomicInt,
     IntPolynomial,
+    _power_matrix,
+    _power_table,
     cyclotomic_polynomial,
     eigenvalue,
     eigenvalue_matrix,
@@ -60,6 +63,61 @@ def test_cyclotomic_product_identity():
             product = product * cyclotomic_polynomial(d)
         assert product.coeffs == (-1,) + (0,) * (n - 1) + (1,), n
         assert cyclotomic_polynomial(n).degree() == euler_phi(n)
+
+
+def test_power_matrix_rows_are_remainders_of_x_powers():
+    # Row e must be x^e mod Phi_n, computed here by polynomial long division
+    # (x^e mod Phi_n is the remainder of x times the remainder for e - 1).
+    x = IntPolynomial.of(0, 1)
+    for n in [*range(1, 121), 105, 165, 195, 210, 255]:
+        phi = euler_phi(n)
+        modulus = cyclotomic_polynomial(n)
+        table = _power_matrix(n).tolist()
+        assert len(table) == n
+        remainder = IntPolynomial.of(1)
+        for e in range(n):
+            padded = list(remainder.coeffs) + [0] * (phi - len(remainder.coeffs))
+            assert table[e] == padded, (n, e)
+            _, remainder = divmod(remainder * x, modulus)
+
+
+@pytest.fixture
+def fresh_power_caches():
+    _power_matrix.cache_clear()
+    _power_table.cache_clear()
+    yield
+    _power_matrix.cache_clear()
+    _power_table.cache_clear()
+
+
+def test_power_matrix_overflow_guard_fires(monkeypatch, fresh_power_caches):
+    # The table for n = 105 peaks at 2, the one for n = 104 at 1.
+    monkeypatch.setattr(cyclotomic_module, "_COEFF_BOUND", 2)
+    with pytest.raises(ArithmeticError):
+        _power_matrix(105)
+    assert _power_matrix(104).shape == (104, 48)
+
+
+def test_power_matrix_cyclotomic_coefficient_guard_fires(
+    monkeypatch, fresh_power_caches
+):
+    # Phi_105 has the coefficient -2; Phi_104 has none of size 2.
+    monkeypatch.setattr(cyclotomic_module, "_PHI_COEFF_BOUND", 2)
+    with pytest.raises(ArithmeticError):
+        _power_matrix(105)
+    assert _power_table(104)[0][0] == 1
+
+
+def test_power_matrix_size_limit(monkeypatch, fresh_power_caches):
+    # n = 105 needs 105 * 48 = 5040 cells.
+    monkeypatch.setattr(cyclotomic_module, "_MAX_TABLE_CELLS", 5040)
+    assert _power_matrix(105).shape == (105, 48)
+    _power_matrix.cache_clear()
+    monkeypatch.setattr(cyclotomic_module, "_MAX_TABLE_CELLS", 5039)
+    with pytest.raises(ValueError, match="5040 cells"):
+        _power_matrix(105)
+    with pytest.raises(ValueError, match="5040 cells"):
+        zeta_power(105, 1)
 
 
 def test_zeta_power_examples():
