@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .numtheory import euler_phi, smallest_prime_1_mod_2d
 from .unitgroup import (
     ConstructionError,
@@ -24,6 +26,9 @@ from .unitgroup import (
     unique_subgroup_mod_prime,
     units,
 )
+
+_MAX_SCAN_MODULUS = 3_037_000_499  # (n-1)^2 < 2^63: unit products are exact in int64
+_BLOCK_PRODUCTS = 1 << 20  # products m*s per block of the unit scan (at least one row)
 
 
 @dataclass(frozen=True)
@@ -88,14 +93,24 @@ def parse_connection_set(text: str) -> ConnectionSet:
     return make_connection_set(n, elems)
 
 
+def _multiplier_rows(n: int, elements: tuple[int, ...]):
+    """Yield int64 (m, rows) over ascending blocks of units m: rows[i] = sorted m[i]*S mod n."""
+    if n > _MAX_SCAN_MODULUS:
+        raise ValueError(f"modulus {n} exceeds the unit-scan limit {_MAX_SCAN_MODULUS}")
+    unit_list = units(n)
+    s = np.array(elements, dtype=np.int64)
+    step = max(1, _BLOCK_PRODUCTS // max(1, len(s)))
+    for start in range(0, len(unit_list), step):
+        m = np.array(unit_list[start:start + step], dtype=np.int64)
+        yield m, np.sort(np.multiply.outer(m, s) % n, axis=1)
+
+
 def fixing_subgroup(symbol: ConnectionSet) -> Subgroup:
     """All units k with k*S = S setwise; the whole unit group for empty S."""
-    n = symbol.n
-    s_set = set(symbol.elements)
-    fixers = [
-        k for k in units(n) if {k * s % n for s in s_set} == s_set
-    ]
-    return Subgroup(n, tuple(fixers))
+    fixers: list[int] = []
+    for m, rows in _multiplier_rows(symbol.n, symbol.elements):
+        fixers += m[(rows == symbol.elements).all(axis=1)].tolist()
+    return Subgroup(symbol.n, tuple(fixers))
 
 
 def algebraic_degree(symbol: ConnectionSet) -> int:
@@ -150,13 +165,10 @@ def least_multiplier_image(symbol: ConnectionSet) -> ConnectionSet:
     Multiplier-equivalent symbols share it; at prime order it is therefore
     a canonical form for isomorphism.
     """
-    n = symbol.n
     best = symbol.elements
-    for m in units(n):
-        image = tuple(sorted(m * s % n for s in symbol.elements))
-        if image < best:
-            best = image
-    return ConnectionSet(n, best)
+    for m, rows in _multiplier_rows(symbol.n, symbol.elements):
+        best = min(best, tuple(rows[np.lexsort((m, *rows.T[::-1]))[0]].tolist()))
+    return ConnectionSet(symbol.n, best)
 
 
 def multiplier_isomorphic(
@@ -171,11 +183,10 @@ def multiplier_isomorphic(
         raise ValueError(f"moduli differ: {first.n} vs {second.n}")
     if len(first.elements) != len(second.elements):
         return None
-    n = first.n
-    target = set(first.elements)
-    for m in units(n):
-        if {m * s % n for s in second.elements} == target:
-            return m
+    for m, rows in _multiplier_rows(second.n, second.elements):
+        hits = m[(rows == first.elements).all(axis=1)]
+        if hits.size:
+            return int(hits[0])
     return None
 
 

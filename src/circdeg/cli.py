@@ -145,11 +145,12 @@ def table_csv(rows: Iterable[TableRow]) -> str:
 def cmd_deg(args) -> int:
     try:
         symbol = parse_connection_set(args.symbol)
+        # The unit scan refuses moduli over its int64 limit before any work.
+        degree = algebraic_degree(symbol)
+        fix_order = len(fixing_subgroup(symbol))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    degree = algebraic_degree(symbol)
-    fix_order = len(fixing_subgroup(symbol))
     connected = is_connected(symbol)
     integral = as_integral_symbol(symbol)
     report = {

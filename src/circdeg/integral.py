@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .circulant import ConnectionSet, is_connected, make_connection_set
-from .numtheory import divisors, lcm_of_set, mobius, tau
+from .numtheory import divisors, euler_phi, lcm_of_set, mobius, tau
+from .unitgroup import units
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def basic_symbol(n: int, d: int) -> tuple[int, ...]:
     """All residues with gcd exactly d against n; needs d | n, d != n."""
     if d < 1 or n % d != 0 or d == n:
         raise ValueError(f"{d} is not a proper divisor of {n}")
-    return tuple(x for x in range(1, n) if math.gcd(x, n) == d)
+    return tuple(d * x for x in units(n // d))
 
 
 def realize(symbol: IntegralSymbol) -> ConnectionSet:
@@ -69,9 +70,9 @@ def as_integral_symbol(symbol: ConnectionSet) -> IntegralSymbol | None:
     """The divisor set realizing S, or None when S is not a union of basic sets."""
     n = symbol.n
     divisor_set = frozenset(math.gcd(s, n) for s in symbol.elements)
-    candidate = IntegralSymbol(n, divisor_set)
-    if realize(candidate).elements == symbol.elements:
-        return candidate
+    # S fills the basic set of each class gcd(s, n) = g iff the class sizes add up.
+    if sum(euler_phi(n // g) for g in divisor_set) == len(symbol.elements):
+        return IntegralSymbol(n, divisor_set)
     return None
 
 

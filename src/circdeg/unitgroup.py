@@ -136,38 +136,26 @@ def is_subgroup(n: int, elements) -> bool:
     return all(x * y % n in elems for x in elems for y in elems)
 
 
-def _index_patterns(orders: tuple[int, ...], target: int):
-    """Divisor tuples (k_1,...,k_r), k_i | orders[i], product = target, lex order."""
-    if not orders:
-        if target == 1:
-            yield ()
-        return
-    head, rest = orders[0], orders[1:]
-    rest_product = math.prod(rest) if rest else 1
-    for k in divisors(head):
-        if target % k == 0 and rest_product % (target // k) == 0:
-            for tail in _index_patterns(rest, target // k):
-                yield (k,) + tail
-
-
 def _subgroup_basis(n: int, order: int) -> tuple[tuple[int, int], ...]:
     """Deterministic generating set (generator, order) for a subgroup of the units.
 
-    Picks the lexicographically first pattern of per-factor indices whose
-    product is phi(n)/order, then takes the corresponding generator powers.
+    Picks the lexicographically first pattern of per-factor indices with product
+    phi(n)/order greedily (the remaining factors admit one iff the remaining
+    target divides their order product), then takes those generator powers.
     """
     group = unit_group(n)
     phi = euler_phi(n)
     if order < 1 or phi % order != 0:
         raise ValueError(f"{order} does not divide phi({n}) = {phi}")
     target = phi // order
-    for pattern in _index_patterns(tuple(m for _, m in group.factor_generators), target):
-        return tuple(
-            (pow(g, k, n), m // k)
-            for (g, m), k in zip(group.factor_generators, pattern)
-            if m // k > 1
-        )
-    raise AssertionError("abelian groups have subgroups of every divisor order")
+    orders = [m for _, m in group.factor_generators]
+    basis = []
+    for i, (g, m) in enumerate(group.factor_generators):
+        rest = math.prod(orders[i + 1:])
+        k = next(k for k in divisors(m) if target % k == 0 and rest % (target // k) == 0)
+        target //= k
+        basis.append((pow(g, k, n), m // k))
+    return tuple(b for b in basis if b[1] > 1)
 
 
 def _span(n: int, basis: tuple[tuple[int, int], ...]) -> tuple[int, ...]:

@@ -1,17 +1,21 @@
 import random
+from functools import lru_cache
 
 import pytest
 
+from circdeg import circulant
 from circdeg.circulant import (
     ConnectionSet,
     algebraic_degree,
     coset_union,
     fixing_subgroup,
     is_connected,
+    least_multiplier_image,
     make_connection_set,
     minimal_prime_construction,
     multiplier_image,
     multiplier_isomorphic,
+    pair_orbits,
     parse_connection_set,
     regular_construction,
 )
@@ -188,3 +192,91 @@ def test_regular_construction_rejects_bad_degree():
         regular_construction(13, 5)
     with pytest.raises(ValueError):
         regular_construction(2, 1)
+
+
+# Reference scans: one Python set or sorted tuple per unit, sharing no code
+# with the numpy blocks of circulant._multiplier_rows.
+def reference_fixers(symbol):
+    n, s_set = symbol.n, set(symbol.elements)
+    return tuple(k for k in units(n) if {k * s % n for s in s_set} == s_set)
+
+
+def reference_least(symbol):
+    n, best = symbol.n, symbol.elements
+    for m in units(n):
+        image = tuple(sorted(m * s % n for s in symbol.elements))
+        if image < best:
+            best = image
+    return best
+
+
+def reference_isomorphic(first, second):
+    if len(first.elements) != len(second.elements):
+        return None
+    n, target = first.n, set(first.elements)
+    for m in units(n):
+        if {m * s % n for s in second.elements} == target:
+            return m
+    return None
+
+
+def swap_one_orbit(rng, symbol):
+    """A symbol of the same size with one pair {s, n - s} exchanged for another."""
+    n = symbol.n
+    inside = [s for s in symbol.elements if s < n - s]
+    outside = [s for s in range(1, (n + 1) // 2) if s not in symbol.elements]
+    if not inside or not outside:
+        return symbol
+    a, b = rng.choice(inside), rng.choice(outside)
+    return make_connection_set(n, (set(symbol.elements) - {a, n - a}) | {b, n - b})
+
+
+@lru_cache(maxsize=None)
+def multiplier_cases():
+    """(symbol, pairs, fixers, least, isomorphic units) with reference results.
+
+    Every symmetric symbol with n <= 18 and 300 random ones with n <= 300;
+    each is paired with a multiplier image of itself (isomorphic) and with a
+    same-size symbol one orbit away (usually not), in both orders.
+    """
+    rng = random.Random(18)
+    symbols = []
+    for n in range(1, 19):
+        orbits = pair_orbits(n)
+        for mask in range(2 ** len(orbits)):
+            symbols.append(make_connection_set(n, {
+                s for i, pair in enumerate(orbits) if mask >> i & 1 for s in pair
+            }))
+    symbols += [random_symbol(rng, rng.randint(1, 300)) for _ in range(300)]
+    cases = []
+    for symbol in symbols:
+        image = multiplier_image(symbol, rng.choice(units(symbol.n)))
+        other = swap_one_orbit(rng, symbol)
+        pairs = ((image, symbol), (other, symbol), (symbol, other))
+        cases.append((
+            symbol,
+            pairs,
+            reference_fixers(symbol),
+            reference_least(symbol),
+            [reference_isomorphic(a, b) for a, b in pairs],
+        ))
+    return cases
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_multiplier_action_matches_reference_scans(monkeypatch, block):
+    if block is not None:
+        # Blocks of one unit, and blocks that end mid-way through the units.
+        monkeypatch.setattr(circulant, "_BLOCK_PRODUCTS", block)
+    cases = multiplier_cases()
+    assert len(cases) == 1533 + 300
+    for symbol, pairs, fixers, least, isomorphic in cases:
+        got_fixers = fixing_subgroup(symbol).elements
+        got_least = least_multiplier_image(symbol)
+        got_isomorphic = [multiplier_isomorphic(a, b) for a, b in pairs]
+        assert got_fixers == fixers, symbol.encode()
+        assert got_least == ConnectionSet(symbol.n, least), symbol.encode()
+        assert got_isomorphic == isomorphic, symbol.encode()
+        returned = got_fixers + got_least.elements
+        returned += tuple(m for m in got_isomorphic if m is not None)
+        assert all(type(x) is int for x in returned), symbol.encode()

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import time
 
 import pytest
 
@@ -171,6 +172,28 @@ def test_deg_oracle_over_size_limit_prints_nothing(capsys, monkeypatch):
     assert code == EXIT_USAGE
     assert out == ""
     assert "48 cells" in err and "limit of 47" in err
+
+
+def test_deg_over_unit_scan_limit_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "deg", "4000000000:1,3999999999")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "unit-scan limit 3037000499" in err
+
+
+def test_deg_unit_scan_limit_boundary(capsys, monkeypatch):
+    import circdeg.circulant as circulant_module
+
+    monkeypatch.setattr(circulant_module, "_MAX_SCAN_MODULUS", 13)
+    code, out, _ = run(capsys, "deg", "13:1,12")
+    assert code == EXIT_OK and "degree 6" in out
+    monkeypatch.setattr(circulant_module, "_MAX_SCAN_MODULUS", 12)
+    code, out, err = run(capsys, "deg", "13:1,12")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "modulus 13 exceeds the unit-scan limit 12" in err
 
 
 def test_envelope_round_trip():

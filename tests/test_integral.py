@@ -1,8 +1,14 @@
+import math
 from itertools import combinations
 
 import pytest
 
-from circdeg.circulant import algebraic_degree, is_connected, make_connection_set
+from circdeg.circulant import (
+    algebraic_degree,
+    is_connected,
+    make_connection_set,
+    pair_orbits,
+)
 from circdeg.cyclotomic import eigenvalue_matrix, splitting_field_degree
 from circdeg.integral import (
     IntegralSymbol,
@@ -49,6 +55,13 @@ def test_basic_symbols_partition():
         assert sum(euler_phi(n // d) for d in divisors(n)[:-1]) == n - 1
 
 
+def test_basic_symbol_is_the_gcd_class():
+    for n in range(2, 401):
+        for d in divisors(n)[:-1]:
+            expected = tuple(x for x in range(1, n) if math.gcd(x, n) == d)
+            assert basic_symbol(n, d) == expected, (n, d)
+
+
 def test_realize_examples():
     assert realize(make_integral_symbol(6, {1, 2})).elements == (1, 2, 4, 5)
     assert realize(make_integral_symbol(9, set())).elements == ()
@@ -78,6 +91,19 @@ def test_as_integral_symbol_round_trip():
     for n in range(1, 61):
         for sym in all_symbols(n):
             assert as_integral_symbol(realize(sym)) == sym
+
+
+def test_as_integral_symbol_matches_realize_round_trip():
+    # Reference: realize the candidate divisor set and compare residues.
+    for n in range(1, 21):
+        orbits = pair_orbits(n)
+        for mask in range(2 ** len(orbits)):
+            symbol = make_connection_set(n, {
+                s for i, pair in enumerate(orbits) if mask >> i & 1 for s in pair
+            })
+            candidate = IntegralSymbol(n, frozenset(math.gcd(s, n) for s in symbol.elements))
+            expected = candidate if realize(candidate) == symbol else None
+            assert as_integral_symbol(symbol) == expected, symbol.encode()
 
 
 def test_to_connected_symbol_examples():

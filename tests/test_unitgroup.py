@@ -1,8 +1,12 @@
+import math
+from itertools import product
+
 import pytest
 
 from circdeg.numtheory import divisors, euler_phi, is_prime
 from circdeg.unitgroup import (
     Subgroup,
+    _subgroup_basis,
     cosets,
     element_order,
     inverse_symmetric_subgroup,
@@ -105,6 +109,24 @@ def test_subgroup_of_order_all_divisors():
             sub = subgroup_of_order(n, order)
             assert len(sub.elements) == order
             assert is_subgroup(n, sub.elements)
+
+
+def first_pattern_basis(n, order):
+    """Reference: the lex-first index pattern over all divisor tuples, exhaustively."""
+    factors = unit_group(n).factor_generators
+    target = euler_phi(n) // order
+    for pattern in product(*(divisors(m) for _, m in factors)):
+        if math.prod(pattern) == target:
+            return tuple(
+                (pow(g, k, n), m // k) for (g, m), k in zip(factors, pattern) if m // k > 1
+            )
+    raise AssertionError(f"no index pattern for ({n}, {order})")
+
+
+def test_subgroup_basis_is_the_first_index_pattern():
+    for n in range(1, 301):
+        for order in divisors(euler_phi(n)):
+            assert _subgroup_basis(n, order) == first_pattern_basis(n, order), (n, order)
 
 
 def test_inverse_symmetric_examples():
