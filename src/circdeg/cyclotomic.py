@@ -4,9 +4,20 @@ Elements are stored by their coefficients on the power basis 1, z, ...,
 z^(phi(n)-1) after reduction modulo the n-th cyclotomic polynomial, so two
 equal algebraic numbers always have identical coefficient tuples.  The
 adjacency eigenvalues of a circulant graph are sums of roots of unity and are
-evaluated here exactly, which yields a splitting-field degree computed purely
-from eigenvalue coefficients - an independent cross-check of the unit-group
-degree formula that never looks at k*S = S.
+evaluated here exactly.
+
+The splitting-field degree - an independent cross-check of the unit-group
+degree formula that never looks at k*S = S - needs only to know which
+eigenvalues are equal, and decides that without reducing anything.
+Eigenvalue j is the image under x -> z of the exponent histogram
+H_j = sum of x^(j*s mod n) over s in S, an element of Z[x]/(x^n - 1).  The
+kernel of that map is the multiples of Phi_n, which is exactly what
+multiplication by g_n = prod over primes p | n of (x^(n/p) - 1) sends to
+zero: x^n - 1 is squarefree, and g_n vanishes at every non-primitive n-th
+root of unity and at no primitive one (de Bruijn 1953; Lam and Leung, J.
+Algebra 224, 2000).  So eigenvalues j and j' are equal iff the annihilated
+histograms H_j * g_n and H_j' * g_n are, and each costs one cyclic
+roll-and-subtract per prime p | n.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .circulant import ConnectionSet
-from .numtheory import divisors, euler_phi
+from .numtheory import divisors, euler_phi, factorize
 from .unitgroup import units
 
 # The int64 power table is exact by construction: _power_matrix rejects any
@@ -33,6 +44,12 @@ from .unitgroup import units
 _COEFF_BOUND = 1 << 40
 _PHI_COEFF_BOUND = 1 << 22
 _MAX_TABLE_CELLS = 1 << 27
+
+# The annihilated histograms are n x n.  A row's absolute sum starts at |S|
+# and at most doubles with each of the omega(n) factors x^(n/p) - 1, so
+# every entry is exact in int32 while |S| * 2^omega(n) < _ROW_ENTRY_BOUND.
+_MAX_HISTOGRAM_CELLS = 1 << 27
+_ROW_ENTRY_BOUND = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -254,28 +271,61 @@ def eigenvalue_matrix(symbol: ConnectionSet) -> np.ndarray:
     return out
 
 
+def _annihilated_rows(symbol: ConnectionSet) -> np.ndarray:
+    """Row j holds H_j * g_n, the annihilated exponent histogram, as int32.
+
+    Rows j and j' are equal iff eigenvalues j and j' are (see the module
+    docstring).  The map from S to the rows is additive over disjoint sets.
+    Raises ValueError past the n*n cell limit, before any work, and
+    ArithmeticError where an entry could leave the exact int32 range.
+    """
+    n = symbol.n
+    if n * n > _MAX_HISTOGRAM_CELLS:
+        raise ValueError(
+            f"eigenvalue rows for n = {n} have {n * n} cells, over the limit of "
+            f"{_MAX_HISTOGRAM_CELLS}"
+        )
+    primes = factorize(n).primes()
+    if len(symbol.elements) << len(primes) >= _ROW_ENTRY_BOUND:
+        raise ArithmeticError(
+            f"annihilated rows for n = {n}, |S| = {len(symbol.elements)} exceed "
+            f"the int32 bound"
+        )
+    j_idx = np.arange(n, dtype=np.int64)[:, None]
+    cells = j_idx * n + (j_idx * np.array(symbol.elements, dtype=np.int64)) % n
+    rows = np.bincount(cells.ravel(), minlength=n * n).astype(np.int32).reshape(n, n)
+    for p in primes:
+        # times x^(n/p) - 1: coefficient e becomes H[e - n/p] - H[e]
+        shifted = np.roll(rows, n // p, axis=1)
+        shifted -= rows
+        rows = shifted
+    return rows
+
+
 def splitting_field_degree(symbol: ConnectionSet) -> int:
     """Degree over Q of the field generated by all eigenvalues.
 
     Counts the units k whose automorphism fixes every eigenvalue and returns
-    phi(n) divided by that count.  The automorphism z -> z^k remaps the
-    exponent support {j*s} of eigenvalue j onto {k*j*s}, so its image, after
-    reduction, is exactly the reduced row of eigenvalue k*j; the fixer test
-    therefore compares reduced coefficient rows under index remapping, and
-    never inspects k*S = S.  The value must agree with algebraic_degree(S);
-    any disagreement is a bug in one of the two routes and is surfaced by
-    the verification suite, never reconciled here.
+    phi(n) divided by that count.  The automorphism z -> z^k sends
+    eigenvalue j to eigenvalue k*j, so k fixes every eigenvalue iff the
+    annihilated histogram row k*j equals row j for every j; two rows are
+    equal iff the eigenvalues are, because multiplication by
+    g_n = prod over p | n of (x^(n/p) - 1) has kernel exactly the multiples
+    of Phi_n in Z[x]/(x^n - 1).  The test compares rows under index
+    remapping and never inspects k*S = S.  The value must agree with
+    algebraic_degree(S); any disagreement is a bug in one of the two routes
+    and is surfaced by the verification suite, never reconciled here.
     """
     n = symbol.n
-    lam = eigenvalue_matrix(symbol)
-    phi = lam.shape[1]
-    # Intern equal rows so fixing every eigenvalue is an id comparison.
-    _, row_id = np.unique(lam, axis=0, return_inverse=True)
-    j_idx = np.arange(n, dtype=np.int64)
-    fixers = 0
-    for k in units(n):
-        if np.array_equal(row_id[(k * j_idx) % n], row_id):
-            fixers += 1
+    rows = _annihilated_rows(symbol)
+    # Intern equal rows (as one opaque byte string each) so fixing every
+    # eigenvalue is an id comparison.
+    keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
+    _, row_id = np.unique(keys, return_inverse=True)
+    unit = np.array(units(n), dtype=np.int64)
+    remapped = row_id[(unit[:, None] * np.arange(n, dtype=np.int64)) % n]
+    fixers = int(np.count_nonzero((remapped == row_id).all(axis=1)))
+    phi = len(unit)
     if phi % fixers != 0:  # pragma: no cover
         raise AssertionError("eigenvalue fixers do not form a subgroup")
     return phi // fixers

@@ -34,7 +34,7 @@ from .circulant import (
     pair_orbits,
     regular_construction,
 )
-from .cyclotomic import _power_matrix, splitting_field_degree
+from .cyclotomic import _annihilated_rows, splitting_field_degree
 from .golden import table_mismatch
 from .integral import (
     count_connected_integral,
@@ -77,19 +77,16 @@ _FINGERPRINT_SEED = 20240
 
 
 def _orbit_rows(n: int) -> np.ndarray:
-    """Exact eigenvalue rows of each pair orbit: [o, j] is row j of orbit o.
+    """Annihilated eigenvalue rows of each pair orbit: [o, j] is row j of orbit o.
 
-    The eigenvalue matrix of the symbol with orbit mask M is the sum of
-    the rows of the orbits in M.
+    Rows j and j' of a symbol are equal iff its eigenvalues j and j' are.
+    The rows of the symbol with orbit mask M are the sum of the rows of the
+    orbits in M.
     """
     orbits = pair_orbits(n)
-    power = _power_matrix(n)
-    j_idx = np.arange(n, dtype=np.int64)
-    rows = np.zeros((len(orbits), n, power.shape[1]), dtype=np.int64)
-    for o, (lo, hi) in enumerate(orbits):
-        rows[o] = power[(j_idx * lo) % n]
-        if hi != lo:
-            rows[o] += power[(j_idx * hi) % n]
+    rows = np.zeros((len(orbits), n, n), dtype=np.int32)
+    for o, orbit in enumerate(orbits):
+        rows[o] = _annihilated_rows(make_connection_set(n, orbit))
     return rows
 
 
@@ -123,7 +120,7 @@ def exhaustive_oracle_sweep(n: int) -> tuple[int, int, int]:
     weights = np.random.default_rng(_FINGERPRINT_SEED).integers(
         0, 2**64 - 1, size=rows.shape[2], dtype=np.uint64, endpoint=True
     )
-    fp = rows.view(np.uint64) @ weights  # fp[o, j]
+    fp = rows.astype(np.int64).view(np.uint64) @ weights  # fp[o, j]
     j_idx = np.arange(n, dtype=np.int64)
     kmul = (np.array(units(n), dtype=np.int64)[:, None] * j_idx) % n
     # pair_orbits(n)[o] is (o + 1, n - o - 1); perm[u, o] is the orbit onto

@@ -162,16 +162,12 @@ def test_deg_oracle_disagreement_exit_code(capsys, monkeypatch):
 def test_deg_oracle_over_size_limit_prints_nothing(capsys, monkeypatch):
     import circdeg.cyclotomic as cyclotomic_module
 
-    # 12:1,11 needs a 12 x 4 power table.
-    monkeypatch.setattr(cyclotomic_module, "_MAX_TABLE_CELLS", 47)
-    cyclotomic_module._power_matrix.cache_clear()
-    try:
-        code, out, err = run(capsys, "deg", "12:1,11", "--oracle")
-    finally:
-        cyclotomic_module._power_matrix.cache_clear()
+    # 12:1,11 needs 12 x 12 annihilated histogram cells.
+    monkeypatch.setattr(cyclotomic_module, "_MAX_HISTOGRAM_CELLS", 143)
+    code, out, err = run(capsys, "deg", "12:1,11", "--oracle")
     assert code == EXIT_USAGE
     assert out == ""
-    assert "48 cells" in err and "limit of 47" in err
+    assert "144 cells" in err and "limit of 143" in err
 
 
 def test_deg_over_unit_scan_limit_exits_2_at_once(capsys):

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 import circdeg.cyclotomic as cyclotomic_module
@@ -9,6 +10,7 @@ from circdeg.circulant import algebraic_degree, make_connection_set
 from circdeg.cyclotomic import (
     CyclotomicInt,
     IntPolynomial,
+    _annihilated_rows,
     _power_matrix,
     _power_table,
     cyclotomic_polynomial,
@@ -20,8 +22,9 @@ from circdeg.cyclotomic import (
     splitting_field_degree,
     zeta_power,
 )
-from circdeg.numtheory import divisors, euler_phi
+from circdeg.numtheory import Factorization, divisors, euler_phi, factorize
 from circdeg.unitgroup import units
+from circdeg.verify import random_symbols
 
 
 def as_complex(x: CyclotomicInt) -> complex:
@@ -239,6 +242,73 @@ def test_splitting_degree_examples():
     assert splitting_field_degree(make_connection_set(13, {1, 3, 4, 9, 10, 12})) == 2
     assert splitting_field_degree(make_connection_set(9, set(range(1, 9)))) == 1
     assert splitting_field_degree(make_connection_set(11, {1, 2, 9, 10})) == 5
+
+
+def _equal_row_pairs(rows):
+    """Boolean matrix: [j, j'] is True iff rows j and j' are equal."""
+    rows = np.asarray(rows)
+    return (rows[:, None, :] == rows[None, :, :]).all(axis=2)
+
+
+def _partition_mismatches():
+    """Symbols whose annihilated rows split j unlike the eigenvalues do."""
+    bad = 0
+    for symbol in random_symbols(1200, 2, 60, seed=4099):
+        by_rows = _equal_row_pairs(_annihilated_rows(symbol))
+        by_value = _equal_row_pairs(eigenvalue_matrix(symbol))
+        bad += not np.array_equal(by_rows, by_value)
+    return bad
+
+
+def test_annihilated_rows_partition_like_eigenvalues():
+    # Degrees cannot see a kernel that is too small (with g_n = 1 the row
+    # test is exactly kS = S), so compare which eigenvalues are equal.
+    assert _partition_mismatches() == 0
+
+
+def test_row_partition_test_sees_a_dropped_prime_factor(monkeypatch):
+    def one_prime_fewer(n):
+        return Factorization(n, factorize(n).factors[:-1])
+
+    monkeypatch.setattr(cyclotomic_module, "factorize", one_prime_fewer)
+    assert _partition_mismatches() > 0
+
+
+def test_row_partition_test_sees_a_factor_vanishing_at_primitive_roots(
+    monkeypatch,
+):
+    # An extra "prime" 1 multiplies by x^n - 1, which also kills Phi_n.
+    def with_factor_one(n):
+        return Factorization(n, ((1, 1),) + factorize(n).factors)
+
+    monkeypatch.setattr(cyclotomic_module, "factorize", with_factor_one)
+    assert _partition_mismatches() > 0
+
+
+def test_annihilated_rows_size_limit(monkeypatch):
+    symbol = make_connection_set(12, {1, 11})
+    monkeypatch.setattr(cyclotomic_module, "_MAX_HISTOGRAM_CELLS", 144)
+    assert _annihilated_rows(symbol).shape == (12, 12)
+    monkeypatch.setattr(cyclotomic_module, "_MAX_HISTOGRAM_CELLS", 143)
+
+    def no_factoring(n):
+        raise AssertionError("factored before the size check")
+
+    monkeypatch.setattr(cyclotomic_module, "factorize", no_factoring)
+    with pytest.raises(ValueError, match="144 cells, over the limit of 143"):
+        _annihilated_rows(symbol)
+    with pytest.raises(ValueError, match="144 cells"):
+        splitting_field_degree(symbol)
+
+
+def test_annihilated_rows_int32_bound(monkeypatch):
+    # |S| * 2^omega(12) = 2 * 4 = 8.
+    symbol = make_connection_set(12, {1, 11})
+    monkeypatch.setattr(cyclotomic_module, "_ROW_ENTRY_BOUND", 9)
+    assert _annihilated_rows(symbol).dtype == np.int32
+    monkeypatch.setattr(cyclotomic_module, "_ROW_ENTRY_BOUND", 8)
+    with pytest.raises(ArithmeticError):
+        _annihilated_rows(symbol)
 
 
 def test_splitting_degree_equals_formula_small():

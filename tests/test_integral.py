@@ -156,6 +156,14 @@ def test_count_formula_equals_bruteforce():
         assert count_connected_integral(n) == count_connected_integral_bruteforce(n)
 
 
+def test_connectivity_is_the_gcd_of_the_divisor_set():
+    # The residue-level fact the brute-force count rests on.
+    for n in range(1, 61):
+        for sym in all_symbols(n):
+            want = math.gcd(n, *sym.divisor_set) == 1
+            assert is_connected(realize(sym)) == want, sym.encode()
+
+
 def test_count_lower_bound_and_prime_power_equality():
     for n in range(2, 1001):
         value = count_connected_integral(n)
