@@ -246,7 +246,6 @@ def test_splitting_degree_examples():
 
 def _equal_row_pairs(rows):
     """Boolean matrix: [j, j'] is True iff rows j and j' are equal."""
-    rows = np.asarray(rows)
     return (rows[:, None, :] == rows[None, :, :]).all(axis=2)
 
 
