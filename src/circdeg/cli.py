@@ -5,14 +5,17 @@ optionally checked against the embedded published copy), census (prime-order
 isomorphism counts with optional witnesses), integral (connected integral
 counts), verify (the fast or full verification suite).
 
-Exit codes: 0 ok, 1 verification failure, 2 usage or malformed input,
-3 internal disagreement between independent routes, 4 golden-table mismatch.
+Exit codes: 0 ok, 1 verification failure, 2 usage or malformed input (every
+input the library rejects with ValueError, e.g. a modulus above 2^63 - 1, and
+an unusable cache path), 3 internal disagreement between independent routes,
+4 golden-table mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -143,14 +146,10 @@ def table_csv(rows: Iterable[TableRow]) -> str:
 
 
 def cmd_deg(args) -> int:
-    try:
-        symbol = parse_connection_set(args.symbol)
-        # The unit scan refuses moduli over its int64 limit before any work.
-        degree = algebraic_degree(symbol)
-        fix_order = len(fixing_subgroup(symbol))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    symbol = parse_connection_set(args.symbol)
+    # The unit scan refuses moduli over its int64 limit before any work.
+    degree = algebraic_degree(symbol)
+    fix_order = len(fixing_subgroup(symbol))
     connected = is_connected(symbol)
     integral = as_integral_symbol(symbol)
     report = {
@@ -163,11 +162,7 @@ def cmd_deg(args) -> int:
     if args.oracle:
         # Before any output, so that a symbol over the oracle's size limit
         # prints no partial report.
-        try:
-            report["oracle"] = splitting_field_degree(symbol)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        report["oracle"] = splitting_field_degree(symbol)
     print(f"degree {degree}")
     print(f"fix-order {fix_order}")
     print(f"valency {symbol.valency()}")
@@ -188,9 +183,6 @@ def cmd_deg(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.d_max < 1:
-        print("error: d_max must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     rows = degree_table(args.d_max)
     if args.format == "json":
         print(json.dumps([_row_dict(r) for r in rows], indent=2, sort_keys=True))
@@ -218,11 +210,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_census(args) -> int:
-    try:
-        record = prime_census(args.p, args.d)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    record = prime_census(args.p, args.d)
     print(f"count {record.value}")
     print(f"method {record.method}")
     payload = {"count": record.value, "method": record.method}
@@ -243,19 +231,12 @@ def cmd_census(args) -> int:
 
 
 def cmd_integral(args) -> int:
-    if args.n < 1:
-        print("error: n must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     count = count_connected_integral(args.n)
     print(f"count {count}")
     payload: dict[str, Any] = {"count": count}
     status = EXIT_OK
     if args.brute:
-        try:
-            brute = count_connected_integral_bruteforce(args.n)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        brute = count_connected_integral_bruteforce(args.n)
         payload["brute"] = brute
         print(f"brute {brute}")
         if brute != count:
@@ -293,7 +274,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The circdeg parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="circdeg",
         description="Algebraic degree of circulant graphs: degrees, censuses, tables.",
@@ -350,11 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -192,6 +192,42 @@ def test_deg_unit_scan_limit_boundary(capsys, monkeypatch):
     assert "modulus 13 exceeds the unit-scan limit 12" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("integral", "100000000000000000000"),
+        ("integral", "0"),
+        ("table", "0"),
+        ("census", "15", "2"),
+        ("deg", "6:0,1"),
+        ("deg", "4000000000:1,3999999999"),
+    ],
+    ids=" ".join,
+)
+def test_rejected_input_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_reused_parser_carries_no_arguments_over(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CIRCDEG_CACHE", raising=False)
+    path = str(tmp_path / "c.jsonl")
+    code, out, _ = run(capsys, "--cache", path, "deg", "5:1,4", "--oracle")
+    assert code == EXIT_OK and "oracle 2" in out
+    code, out, _ = run(capsys, "deg", "5:1,4")
+    assert code == EXIT_OK and "degree 2" in out
+    assert "oracle" not in out
+    assert len(read_cache(path)) == 1
+
+    code, out, _ = run(capsys, "table", "3", "--format", "json")
+    assert code == EXIT_OK and out.startswith("[")
+    code, out, _ = run(capsys, "table", "3")
+    assert code == EXIT_OK
+    assert out.startswith("d,C(d),p_d,strict,witness\n")
+
+
 def test_envelope_round_trip():
     env = ResultEnvelope(
         command="census",
