@@ -17,8 +17,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .circulant import (
     ConnectionSet,
+    _fixers,
+    _least_images,
     algebraic_degree,
     coset_union,
     fixing_subgroup,
@@ -133,12 +137,6 @@ def prime_order_upper_bound(d: int) -> int:
     return math.floor(value)
 
 
-def _rotate(mask: int, shift: int, d: int) -> int:
-    shift %= d
-    full = (1 << d) - 1
-    return ((mask << shift) | (mask >> (d - shift))) & full
-
-
 def _prime_cosets(p: int, d: int) -> tuple[Subgroup, list[int]]:
     """The subgroup H of order (p-1)/d mod p and the coset representatives
     r^0, ..., r^(d-1) for the least primitive root r; multiplying by r
@@ -166,18 +164,40 @@ def _validate_prime_census_args(p: int, d: int) -> None:
         raise ValueError(f"{d} does not divide ({p}-1)/2")
 
 
+def _orbit_representatives(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The least mask of each rotation orbit of nonempty proper subsets of Z_d,
+    ascending, and whether its orbit has all d members (trivial stabilizer).
+
+    A mask is the least of its orbit iff no rotation of it is smaller, and
+    aperiodic iff no rotation but the identity fixes it.
+    """
+    full = (1 << d) - 1
+    masks = np.arange(1, full, dtype=np.int64)
+    least = np.ones(len(masks), dtype=bool)
+    aperiodic = np.ones(len(masks), dtype=bool)
+    for shift in range(1, d):
+        rotated = ((masks << shift) | (masks >> (d - shift))) & full
+        least &= rotated >= masks
+        aperiodic &= rotated != masks
+    return masks[least], aperiodic[least]
+
+
 def prime_census(
     p: int, d: int, enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> CensusRecord:
     """Exact census of degree-d circulant graphs of odd prime order p.
 
-    For d up to the enumeration limit, walks every nonempty proper subset of
-    the d cosets of the order-(p-1)/d subgroup, keeps the subsets whose
-    fixing subgroup (computed directly on residues) is exactly H, groups
-    them into rotation orbits, and emits one canonical witness per orbit.
-    The orbit count is cross-checked against the closed-form count of
-    aperiodic subsets, which is also what larger d returns on its own
-    (without witnesses, which would be astronomically many).
+    For d up to the enumeration limit, takes the least mask of every
+    rotation orbit of nonempty proper subsets of the d cosets of the
+    order-(p-1)/d subgroup H.  The unions of the same number of cosets have
+    one size, so each size is one int64 batch of residue sets, and one
+    batched unit scan computes every fixing subgroup directly on residues.
+    A union must be fixed by exactly H iff its mask is aperiodic, and always
+    when its coset count is coprime to d; the kept unions get their
+    canonical witnesses from one more batched scan.  The orbit count is
+    cross-checked against the closed-form count of aperiodic subsets, which
+    is also what larger d returns on its own (without witnesses, which
+    would be astronomically many).
     """
     _validate_prime_census_args(p, d)
     formula_total = aperiodic_subset_count(d)
@@ -188,27 +208,33 @@ def prime_census(
         return CensusRecord(p, d, "exact", formula_count, (), "aperiodic-subset-formula")
 
     subgroup, reps = _prime_cosets(p, d)
-    witnesses = []
-    for mask in range(1, 2**d - 1):
-        rotations = [_rotate(mask, s, d) for s in range(d)]
-        if min(rotations) != mask:
-            continue
-        symbol = coset_union(p, subgroup, [reps[i] for i in range(d) if mask >> i & 1])
-        keeps = fixing_subgroup(symbol).elements == subgroup.elements
-        # the stabilizer of a mask of period t has d / t rotations
-        aperiodic = rotations.count(mask) == 1
-        if keeps != aperiodic:  # pragma: no cover
-            raise ConstructionError(
-                f"coset model mismatch at p={p}, d={d}, mask={mask:b}"
-            )
-        size = mask.bit_count()
-        if math.gcd(size, d) == 1 and not keeps:  # pragma: no cover
-            raise AssertionError(
-                f"coprime-size subset not fixed exactly by H at p={p}, d={d}"
-            )
-        if keeps:
-            witnesses.append(canonical_form(symbol))
-    if len(witnesses) != formula_count:  # pragma: no cover
+    # row i: the residues of the coset reps[i] * H
+    cosets = np.multiply.outer(
+        np.array(reps, dtype=np.int64), np.array(subgroup.elements, dtype=np.int64)
+    ) % p
+    masks, aperiodic = _orbit_representatives(d)
+    bits = (masks[:, None] >> np.arange(d)) & 1
+    sizes = bits.sum(axis=1)
+    witnesses: list[ConnectionSet] = []
+    for size in range(1, d):
+        group = sizes == size
+        _, indices = np.nonzero(bits[group])
+        symbols = np.sort(cosets[indices].reshape(group.sum(), -1), axis=1)
+        keeps = np.array([f == subgroup.elements for f in _fixers(p, symbols)])
+        for mask, keep, free in zip(masks[group].tolist(), keeps, aperiodic[group]):
+            if keep != free:
+                raise ConstructionError(
+                    f"coset model mismatch at p={p}, d={d}, mask={mask:b}"
+                )
+            if math.gcd(size, d) == 1 and not keep:  # pragma: no cover
+                raise AssertionError(
+                    f"coprime-size subset not fixed exactly by H at p={p}, d={d}"
+                )
+        witnesses += [
+            ConnectionSet(p, tuple(least))
+            for least in _least_images(p, symbols[keeps]).tolist()
+        ]
+    if len(witnesses) != formula_count:
         raise AssertionError(
             f"enumerated {len(witnesses)} orbits but formula gives {formula_count}"
         )

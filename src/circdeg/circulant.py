@@ -93,24 +93,74 @@ def parse_connection_set(text: str) -> ConnectionSet:
     return make_connection_set(n, elems)
 
 
-def _multiplier_rows(n: int, elements: tuple[int, ...]):
-    """Yield int64 (m, rows) over ascending blocks of units m: rows[i] = sorted m[i]*S mod n."""
+def _multiplier_rows(n: int, symbols: np.ndarray):
+    """Yield (lo, m, rows) over blocks of the sorted int64 (B, L) symbols and of
+    ascending units m: rows[i, j] = sorted m[j]*symbols[lo+i] mod n.
+
+    A block holds at most _BLOCK_PRODUCTS products m*s (at least one row):
+    whole unit groups for several symbols at a time, or one symbol and a
+    block of its units.
+    """
     if n > _MAX_SCAN_MODULUS:
         raise ValueError(f"modulus {n} exceeds the unit-scan limit {_MAX_SCAN_MODULUS}")
     unit_list = units(n)
-    s = np.array(elements, dtype=np.int64)
-    step = max(1, _BLOCK_PRODUCTS // max(1, len(s)))
-    for start in range(0, len(unit_list), step):
-        m = np.array(unit_list[start:start + step], dtype=np.int64)
-        yield m, np.sort(np.multiply.outer(m, s) % n, axis=1)
+    width = max(1, symbols.shape[1])
+    step = max(1, _BLOCK_PRODUCTS // width)
+    chunk = max(1, _BLOCK_PRODUCTS // (width * len(unit_list)))
+    for lo in range(0, len(symbols), chunk):
+        block = symbols[lo:lo + chunk, None, :]
+        for start in range(0, len(unit_list), step):
+            m = np.array(unit_list[start:start + step], dtype=np.int64)
+            yield lo, m, np.sort(block * m[:, None] % n, axis=2)
+
+
+def _symbol_rows(symbol: ConnectionSet) -> np.ndarray:
+    """The symbol as a (1, |S|) int64 batch of the scans below."""
+    return np.array([symbol.elements], dtype=np.int64)
+
+
+def _fixers(n: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
+    """For each sorted int64 row S of the (B, L) symbols, the ascending units
+    k with k*S = S setwise."""
+    fixers: list[list[int]] = [[] for _ in range(len(symbols))]
+    for lo, m, rows in _multiplier_rows(n, symbols):
+        hits = (rows == symbols[lo:lo + len(rows), None, :]).all(axis=2)
+        for i, row in enumerate(hits, lo):
+            fixers[i] += m[row].tolist()
+    return [tuple(f) for f in fixers]
+
+
+def _lex_min(rows: np.ndarray) -> np.ndarray:
+    """The lexicographically least of the M rows of each (M, L) slab of an
+    int64 (B, M, L) array: (B, L).
+
+    Column elimination: keep the rows that attain each column's minimum
+    among those still kept, until one row per slab is left or the columns
+    run out (the rows left are then equal).
+    """
+    alive = np.ones(rows.shape[:2], dtype=bool)
+    top = np.iinfo(np.int64).max
+    for column in np.moveaxis(rows, 2, 0):
+        column = np.where(alive, column, top)
+        alive &= column == column.min(axis=1, keepdims=True)
+        if alive.sum() == len(alive):
+            break
+    return rows[np.arange(len(rows)), alive.argmax(axis=1)]
+
+
+def _least_images(n: int, symbols: np.ndarray) -> np.ndarray:
+    """For each sorted int64 row S of the (B, L) symbols, the lexicographically
+    least m*S over all units m: (B, L)."""
+    least = symbols.copy()
+    for lo, _, rows in _multiplier_rows(n, symbols):
+        part = least[lo:lo + len(rows)]
+        part[...] = _lex_min(np.concatenate((part[:, None, :], rows), axis=1))
+    return least
 
 
 def fixing_subgroup(symbol: ConnectionSet) -> Subgroup:
     """All units k with k*S = S setwise; the whole unit group for empty S."""
-    fixers: list[int] = []
-    for m, rows in _multiplier_rows(symbol.n, symbol.elements):
-        fixers += m[(rows == symbol.elements).all(axis=1)].tolist()
-    return Subgroup(symbol.n, tuple(fixers))
+    return Subgroup(symbol.n, _fixers(symbol.n, _symbol_rows(symbol))[0])
 
 
 def algebraic_degree(symbol: ConnectionSet) -> int:
@@ -165,10 +215,8 @@ def least_multiplier_image(symbol: ConnectionSet) -> ConnectionSet:
     Multiplier-equivalent symbols share it; at prime order it is therefore
     a canonical form for isomorphism.
     """
-    best = symbol.elements
-    for m, rows in _multiplier_rows(symbol.n, symbol.elements):
-        best = min(best, tuple(rows[np.lexsort((m, *rows.T[::-1]))[0]].tolist()))
-    return ConnectionSet(symbol.n, best)
+    least = _least_images(symbol.n, _symbol_rows(symbol))[0]
+    return ConnectionSet(symbol.n, tuple(least.tolist()))
 
 
 def multiplier_isomorphic(
@@ -183,8 +231,8 @@ def multiplier_isomorphic(
         raise ValueError(f"moduli differ: {first.n} vs {second.n}")
     if len(first.elements) != len(second.elements):
         return None
-    for m, rows in _multiplier_rows(second.n, second.elements):
-        hits = m[(rows == first.elements).all(axis=1)]
+    for _, m, rows in _multiplier_rows(second.n, _symbol_rows(second)):
+        hits = m[(rows[0] == first.elements).all(axis=1)]
         if hits.size:
             return int(hits[0])
     return None

@@ -108,8 +108,13 @@ def _pollard_brent(n: int) -> int:
     raise ArithmeticError(f"failed to split composite {n}")  # pragma: no cover
 
 
+@lru_cache(maxsize=1 << 12)
 def factorize(n: int) -> Factorization:
-    """Prime factorization of n, 1 <= n <= 2^63 - 1; factorize(1) has no factors."""
+    """Prime factorization of n, 1 <= n <= 2^63 - 1; factorize(1) has no factors.
+
+    Cached: the ascending scans of the minimal-order table factor the same
+    orders again for every row.
+    """
     _check_range(n)
     original = n
     counts: dict[int, int] = {}

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from circdeg import census
 from circdeg.census import (
     CensusRecord,
     admits_degree,
@@ -28,7 +29,12 @@ from circdeg.circulant import (
 )
 from circdeg.integral import count_connected_integral
 from circdeg.numtheory import divisors, euler_phi
-from circdeg.unitgroup import primitive_root, unique_subgroup_mod_prime, units
+from circdeg.unitgroup import (
+    ConstructionError,
+    primitive_root,
+    unique_subgroup_mod_prime,
+    units,
+)
 
 
 def test_admits_degree():
@@ -144,7 +150,9 @@ def test_prime_census_rejects_bad_input():
 
 
 def test_prime_census_witness_properties():
-    for p, d in ((13, 2), (19, 3), (11, 5), (17, 4), (29, 7), (31, 5), (13, 6)):
+    cases = ((13, 2), (19, 3), (11, 5), (17, 4), (29, 7), (31, 5), (13, 6))
+    # the two costliest censuses below the enumeration limit
+    for p, d in cases + ((73, 12), (29, 14)):
         rec = prime_census(p, d)
         assert multiplier_orbit_check(rec)
         assert len(rec.witnesses) == rec.value
@@ -152,6 +160,28 @@ def test_prime_census_witness_properties():
             assert algebraic_degree(w) == d
             assert is_connected(w)
             assert canonical_form(w) == w
+
+
+def test_prime_census_catches_a_wrong_fixing_subgroup(monkeypatch):
+    scan = census._fixers
+
+    def drop_one_unit(n, symbols):
+        fixers = scan(n, symbols)
+        if symbols.shape[1] == 4:  # the unions of two cosets of {1, 10} mod 11
+            fixers[-1] = fixers[-1][1:]
+        return fixers
+
+    monkeypatch.setattr(census, "_fixers", drop_one_unit)
+    # the two-coset orbits are led by the masks 11 and 101
+    with pytest.raises(ConstructionError, match=r"p=11, d=5, mask=101$"):
+        prime_census(11, 5)
+
+
+def test_prime_census_checks_the_orbit_count_against_the_formula(monkeypatch):
+    formula = census.aperiodic_subset_count
+    monkeypatch.setattr(census, "aperiodic_subset_count", lambda d: formula(d) + d)
+    with pytest.raises(AssertionError, match="enumerated 6 orbits but formula gives 7"):
+        prime_census(11, 5)
 
 
 def test_prime_census_formula_path_agrees_with_enumeration():

@@ -1,6 +1,7 @@
 import random
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from circdeg import circulant
@@ -280,3 +281,42 @@ def test_multiplier_action_matches_reference_scans(monkeypatch, block):
         returned = got_fixers + got_least.elements
         returned += tuple(m for m in got_isomorphic if m is not None)
         assert all(type(x) is int for x in returned), symbol.encode()
+
+
+def reference_batch_scan(n, elements):
+    """Fixers and least image of one residue set, from multiplier_image alone."""
+    symbol = ConnectionSet(n, elements)
+    images = {m: multiplier_image(symbol, m).elements for m in units(n)}
+    fixers = tuple(m for m, image in images.items() if image == elements)
+    return fixers, min(images.values())
+
+
+@pytest.mark.parametrize("block", [None, 8])
+def test_batched_scans_match_multiplier_images(monkeypatch, block):
+    if block is not None:
+        # Blocks of a few units for most symbols, and batches split into
+        # chunks of symbols where |S| * phi(n) is at most 4.
+        monkeypatch.setattr(circulant, "_BLOCK_PRODUCTS", block)
+    limit = circulant._BLOCK_PRODUCTS
+    rng = random.Random(31)
+    split_units = split_symbols = False
+    for n in (1, 2, 3, 5, 12, 29, 30, 60, 73, 91):
+        for size in sorted({0, min(1, n - 1), min(2, n - 1), rng.randint(0, n - 1), n - 1}):
+            batch = [
+                tuple(sorted(rng.sample(range(1, n), size)))
+                for _ in range(rng.randint(1, 9))
+            ]
+            symbols = np.array(batch, dtype=np.int64).reshape(len(batch), size)
+            reference = [reference_batch_scan(n, elements) for elements in batch]
+            assert circulant._fixers(n, symbols) == [f for f, _ in reference]
+            least = circulant._least_images(n, symbols).tolist()
+            assert [tuple(row) for row in least] == [m for _, m in reference]
+            covered = []
+            for lo, m, rows in circulant._multiplier_rows(n, symbols):
+                assert rows.size <= max(limit, size), (n, size)
+                covered += [(i, k) for i in range(lo, lo + len(rows)) for k in m.tolist()]
+                split_units |= len(m) < len(units(n))
+                split_symbols |= 1 < len(rows) < len(batch)
+            assert sorted(covered) == [(i, k) for i in range(len(batch)) for k in units(n)]
+    if block is not None:
+        assert split_units and split_symbols
