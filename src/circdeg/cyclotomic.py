@@ -307,24 +307,28 @@ def splitting_field_degree(symbol: ConnectionSet) -> int:
 
     Counts the units k whose automorphism fixes every eigenvalue and returns
     phi(n) divided by that count.  The automorphism z -> z^k sends
-    eigenvalue j to eigenvalue k*j, so k fixes every eigenvalue iff the
-    annihilated histogram row k*j equals row j for every j; two rows are
-    equal iff the eigenvalues are, because multiplication by
-    g_n = prod over p | n of (x^(n/p) - 1) has kernel exactly the multiples
-    of Phi_n in Z[x]/(x^n - 1).  The test compares rows under index
-    remapping and never inspects k*S = S.  The value must agree with
-    algebraic_degree(S); any disagreement is a bug in one of the two routes
-    and is surfaced by the verification suite, never reconciled here.
+    eigenvalue j to eigenvalue k*j.  Every j is g*u for g = gcd(j, n) and a
+    unit u, and the automorphisms commute, so k fixes every eigenvalue iff
+    it fixes eigenvalue g for every divisor g of n: a phi(n) x tau(n) test
+    instead of phi(n) x n.  Row k*g lies in the gcd class of g, so k fixes
+    eigenvalue g iff annihilated histogram row k*g equals the row of its
+    own gcd class.  Two rows are equal iff the eigenvalues are, because
+    multiplication by g_n = prod over p | n of (x^(n/p) - 1) has kernel
+    exactly the multiples of Phi_n in Z[x]/(x^n - 1).  Divisor n and
+    gcd(0, n) = n are taken mod n, so column 0 (eigenvalue |S|, which every
+    k fixes) stands in for them.  The test never inspects k*S = S.  The
+    value must agree with algebraic_degree(S); any disagreement is a bug in
+    one of the two routes and is surfaced by the verification suite, never
+    reconciled here.
     """
     n = symbol.n
     rows = _annihilated_rows(symbol)
-    # Intern equal rows (as one opaque byte string each) so fixing every
-    # eigenvalue is an id comparison.
-    keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
-    _, row_id = np.unique(keys, return_inverse=True)
+    j_idx = np.arange(n, dtype=np.int64)
+    # good[j]: eigenvalue j equals eigenvalue gcd(j, n)
+    good = (rows == rows[np.gcd(j_idx, n) % n]).all(axis=1)
     unit = np.array(units(n), dtype=np.int64)
-    remapped = row_id[(unit[:, None] * np.arange(n, dtype=np.int64)) % n]
-    fixers = int(np.count_nonzero((remapped == row_id).all(axis=1)))
+    divs = np.array(divisors(n), dtype=np.int64)
+    fixers = int(np.count_nonzero(good[(unit[:, None] * divs) % n].all(axis=1)))
     phi = len(unit)
     if phi % fixers != 0:  # pragma: no cover
         raise AssertionError("eigenvalue fixers do not form a subgroup")

@@ -2,14 +2,15 @@
 
 For d > 1 the minimal order C(d) is the least n with 2d dividing phi(n),
 found by an ascending scan (the scan is bounded because the smallest prime
-p = 1 mod 2d always qualifies).  C(1) = 1: the one-vertex graph is already
-integral.  Each table row carries a verified witness graph of degree exactly
-d on C(d) vertices.
+p = 1 mod 2d always qualifies); a table resolves all its degrees in one
+scan.  C(1) = 1: the one-vertex graph is already integral.  Each table row
+carries a verified witness graph of degree exactly d on C(d) vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .circulant import (
     ConnectionSet,
@@ -34,6 +35,24 @@ class TableRow:
     witness: ConnectionSet
 
 
+def _min_orders(degrees: Iterable[int]) -> dict[int, int]:
+    """C(d) for every d in degrees, by one ascending scan over n.
+
+    Each phi(n) is computed once, however many degrees are still pending.
+    """
+    pending = set(degrees)
+    orders = dict.fromkeys(pending & {1}, 1)
+    pending -= {1}
+    n = 1
+    while pending:
+        n += 1
+        phi = euler_phi(n)
+        found = {d for d in pending if phi % (2 * d) == 0}
+        orders.update(dict.fromkeys(found, n))
+        pending -= found
+    return orders
+
+
 def min_order_for_degree(d: int) -> int:
     """C(d): the least order carrying a circulant graph of algebraic degree d.
 
@@ -42,16 +61,10 @@ def min_order_for_degree(d: int) -> int:
     """
     if d < 1:
         raise ValueError(f"expected d >= 1, got {d}")
-    if d == 1:
-        return 1
-    n = 2
-    while euler_phi(n) % (2 * d) != 0:
-        n += 1
-    return n
+    return _min_orders((d,))[d]
 
 
-def _row(d: int) -> TableRow:
-    c = min_order_for_degree(d)
+def _row(d: int, c: int) -> TableRow:
     p = smallest_prime_1_mod_2d(d)
     if c > p:  # pragma: no cover
         raise ConstructionError(f"C({d}) = {c} exceeds the prime bound {p}")
@@ -68,7 +81,8 @@ def degree_table(d_max: int) -> tuple[TableRow, ...]:
     """Rows for d = 1..d_max, each with a verified minimal-order witness."""
     if d_max < 1:
         raise ValueError(f"expected d_max >= 1, got {d_max}")
-    return tuple(_row(d) for d in range(1, d_max + 1))
+    orders = _min_orders(range(1, d_max + 1))
+    return tuple(_row(d, orders[d]) for d in range(1, d_max + 1))
 
 
 def strict_rows(d_max: int) -> tuple[int, ...]:

@@ -100,7 +100,10 @@ def exhaustive_oracle_sweep(n: int) -> tuple[int, int, int]:
 
     - degree side: is the mask invariant under the orbit permutation that
       k induces (kS = S)?  fixing_subgroup is never called;
-    - oracle side: does eigenvalue row k*j equal row j for every j?
+    - oracle side: does eigenvalue row k*g equal row g for every divisor g
+      of n?  Every j is g*u for g = gcd(j, n) and a unit u, and the
+      automorphisms commute, so that holds iff row k*j equals row j for
+      every j.  Divisor n is taken mod n (column 0).
 
     The oracle side compares one linear 64-bit fingerprint per row (a fixed
     random projection, wrapping mod 2**64).  Equal rows have equal
@@ -108,7 +111,8 @@ def exhaustive_oracle_sweep(n: int) -> tuple[int, int, int]:
     contain the exact eigenvalue fixers, which contain the degree fixers:
     where the two sides agree for every k, they agree exactly.  Each mask
     where they differ is re-checked exactly on the sweep's own orbit rows,
-    which dismisses a fingerprint collision but not a wrong row.
+    over all n columns, which dismisses a fingerprint collision but not a
+    wrong row.
 
     Returns (symbols checked, mismatches, first offending mask or -1).
     Symbols checked is 2 ** len(pair_orbits(n)), the empty symbol included;
@@ -123,6 +127,8 @@ def exhaustive_oracle_sweep(n: int) -> tuple[int, int, int]:
     fp = rows.astype(np.int64).view(np.uint64) @ weights  # fp[o, j]
     j_idx = np.arange(n, dtype=np.int64)
     kmul = (np.array(units(n), dtype=np.int64)[:, None] * j_idx) % n
+    kdiv = kmul[:, np.array(divisors(n), dtype=np.int64) % n]
+    gcd_col = np.gcd(j_idx, n) % n
     # pair_orbits(n)[o] is (o + 1, n - o - 1); perm[u, o] is the orbit onto
     # which the u-th unit maps orbit o.
     orbit_of = np.minimum(j_idx, n - j_idx) - 1
@@ -143,10 +149,12 @@ def exhaustive_oracle_sweep(n: int) -> tuple[int, int, int]:
         chunk_fp = low_fp + fp[bits].sum(axis=0, dtype=np.uint64)
         high_img = np.bitwise_or.reduce(1 << perm[:, bits], axis=1, initial=0)
         masks = low_masks | (high << low)
-        deg_fixed = (low_img | high_img[:, None]) == masks
-        flagged = np.zeros(len(masks), dtype=bool)
-        for u, kj in enumerate(kmul):
-            flagged |= deg_fixed[u] != (chunk_fp[:, kj] == chunk_fp).all(axis=1)
+        deg_fixed = (low_img | high_img[:, None]) == masks  # [unit, mask]
+        # good[m, j]: row j's fingerprint equals that of row gcd(j, n) % n,
+        # so good[m, k*g] compares column k*g with column g.
+        good = chunk_fp == chunk_fp[:, gcd_col]
+        eig_fixed = good[:, kdiv].all(axis=2)  # [mask, unit]
+        flagged = (deg_fixed.T != eig_fixed).any(axis=1)
         for idx in np.flatnonzero(flagged):
             mask = int(masks[idx])
             lam = rows[[o for o in range(num_orbits) if mask >> o & 1]].sum(axis=0)
@@ -391,7 +399,7 @@ def full_suite() -> list[CheckResult]:
         check_prime_degree_counts(300),
         check_sandwich(200),
         check_integral_counts(120),
-        check_oracle_equivalence(40, samples=500, n_random_max=200),
+        check_oracle_equivalence(46, samples=500, n_random_max=200),
         check_prime_power_counts(1024),
         check_constructions(200, 100),
         check_power_sums(200),

@@ -46,7 +46,7 @@ def test_criterion_07_mobius_count_vs_bruteforce():
 
 def test_criterion_08_oracle_equivalence():
     report(
-        verify.check_oracle_equivalence(40, samples=500, n_random_max=200),
+        verify.check_oracle_equivalence(46, samples=500, n_random_max=200),
         budget=60,
     )
 

@@ -242,6 +242,12 @@ def test_splitting_degree_examples():
     assert splitting_field_degree(make_connection_set(13, {1, 3, 4, 9, 10, 12})) == 2
     assert splitting_field_degree(make_connection_set(9, set(range(1, 9)))) == 1
     assert splitting_field_degree(make_connection_set(11, {1, 2, 9, 10})) == 5
+    # gcd(0, n) = n and divisor n both stand for column 0 (eigenvalue |S|);
+    # at n = 1 that is the only column.
+    assert splitting_field_degree(make_connection_set(1, set())) == 1
+    assert splitting_field_degree(make_connection_set(2, set())) == 1
+    assert splitting_field_degree(make_connection_set(2, {1})) == 1
+    assert splitting_field_degree(make_connection_set(13, set())) == 1
 
 
 def _equal_row_pairs(rows):
@@ -310,19 +316,28 @@ def test_annihilated_rows_int32_bound(monkeypatch):
         _annihilated_rows(symbol)
 
 
-def test_splitting_degree_equals_formula_small():
-    # exhaustive over all symbols for a few small moduli, via the public
-    # functions only (the exhaustive sweep covers n <= 40 in the acceptance
-    # suite)
-    for n in (1, 2, 3, 4, 6, 9, 10, 12):
+def _symmetric_symbols(n_max):
+    """Every symmetric symbol with modulus n <= n_max."""
+    for n in range(1, n_max + 1):
         orbits = [(s, n - s) for s in range(1, n) if s <= n - s]
         for mask in range(2 ** len(orbits)):
             elems = set()
             for i, (lo, hi) in enumerate(orbits):
                 if mask >> i & 1:
                     elems.update((lo, hi))
-            symbol = make_connection_set(n, elems)
-            assert splitting_field_degree(symbol) == algebraic_degree(symbol)
+            yield make_connection_set(n, elems)
+
+
+def _degree_disagreements(symbols):
+    return sum(splitting_field_degree(s) != algebraic_degree(s) for s in symbols)
+
+
+def test_splitting_degree_equals_formula_small():
+    # exhaustive over all 3,069 symbols with n <= 20, via the public
+    # functions only (the exhaustive sweep covers n <= 46 in the acceptance
+    # suite)
+    assert _degree_disagreements(_symmetric_symbols(20)) == 0
+    assert _degree_disagreements(random_symbols(500, 2, 768, 777)) == 0
     rng = random.Random(29)
     for _ in range(80):
         n = rng.randint(41, 120)
@@ -332,6 +347,18 @@ def test_splitting_degree_equals_formula_small():
                 elems.update((s, n - s))
         symbol = make_connection_set(n, elems)
         assert splitting_field_degree(symbol) == algebraic_degree(symbol)
+
+
+@pytest.mark.parametrize(
+    "wrong_divisors",
+    [lambda n: (1,), lambda n: divisors(n)[1:]],
+    ids=["only-1", "without-1"],
+)
+def test_oracle_sees_a_missing_divisor_column(monkeypatch, wrong_divisors):
+    # Each gcd class needs its own column: with a divisor left out, some k
+    # passes the test without fixing every eigenvalue.
+    monkeypatch.setattr(cyclotomic_module, "divisors", wrong_divisors)
+    assert _degree_disagreements(_symmetric_symbols(20)) > 0
 
 
 def test_degree_one_iff_all_eigenvalues_integral():

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from circdeg import mintable
 from circdeg.circulant import algebraic_degree, is_connected
 from circdeg.cyclotomic import splitting_field_degree
 from circdeg.golden import GOLDEN_TABLE, golden_rows, table_mismatch
@@ -24,6 +25,25 @@ def test_min_order_is_minimal():
         for n in range(1, c):
             assert euler_phi(n) % (2 * d) != 0
         assert c <= smallest_prime_1_mod_2d(d)
+
+
+def test_one_scan_matches_per_degree_scans():
+    phi = [0, 1]
+
+    def reference(d):
+        n = 2
+        while True:
+            if n == len(phi):
+                phi.append(euler_phi(n))
+            if phi[n] % (2 * d) == 0:
+                return n
+            n += 1
+
+    want = {d: 1 if d == 1 else reference(d) for d in range(1, 301)}
+    assert mintable._min_orders(range(1, 301)) == want
+    assert mintable._min_orders(()) == {}
+    for d in (1, 2, 94, 300):
+        assert min_order_for_degree(d) == want[d]
 
 
 def test_degree_table_small_rows():

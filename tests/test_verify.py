@@ -44,6 +44,22 @@ def test_sweep_reports_a_corrupted_orbit_row(monkeypatch):
     assert bad == 32 and first == 1
 
 
+def test_sweep_sees_a_corrupted_row_off_the_divisor_columns(monkeypatch):
+    clean = verify._orbit_rows(12)
+
+    def corrupted(n):
+        rows = clean.copy()
+        rows[0, 5, 0] += 1  # orbit {1, 11}, eigenvalue j = 5, constant term
+        return rows
+
+    monkeypatch.setattr(verify, "_orbit_rows", corrupted)
+    checked, bad, first = verify.exhaustive_oracle_sweep(12)
+    # 5 does not divide 12, but k = 5 sends column g = 1 to it: the 16
+    # masks holding orbits {1, 11} and {5, 7} are fixed by 5 and lose it.
+    assert checked == 64
+    assert bad == 16 and first == 17
+
+
 def _referenced_names(obj) -> set[str]:
     """Every name, attribute and imported name in obj's source."""
     names = set()
