@@ -22,7 +22,7 @@ import numpy as np
 from .circulant import (
     ConnectionSet,
     _fixers,
-    _least_images,
+    _lex_min,
     algebraic_degree,
     coset_union,
     fixing_subgroup,
@@ -193,8 +193,10 @@ def prime_census(
     one size, so each size is one int64 batch of residue sets, and one
     batched unit scan computes every fixing subgroup directly on residues.
     A union must be fixed by exactly H iff its mask is aperiodic, and always
-    when its coset count is coprime to d; the kept unions get their
-    canonical witnesses from one more batched scan.  The orbit count is
+    when its coset count is coprime to d.  Multiplying by r^i rotates coset
+    indices by i, so a kept union's multiplier images are its d coset
+    rotations, and its canonical witness is the least of them; `verify full`
+    re-checks the example witnesses with canonical_form.  The orbit count is
     cross-checked against the closed-form count of aperiodic subsets, which
     is also what larger d returns on its own (without witnesses, which
     would be astronomically many).
@@ -230,10 +232,11 @@ def prime_census(
                 raise AssertionError(
                     f"coprime-size subset not fixed exactly by H at p={p}, d={d}"
                 )
-        witnesses += [
-            ConnectionSet(p, tuple(least))
-            for least in _least_images(p, symbols[keeps]).tolist()
-        ]
+        # the d coset rotations of each kept union: all its multiplier images
+        kept = indices.reshape(-1, size)[keeps, None, :]
+        rotated = cosets[(kept + np.arange(d)[:, None]) % d]
+        rotated = np.sort(rotated.reshape(len(kept), d, size * len(subgroup)), axis=2)
+        witnesses += [ConnectionSet(p, tuple(w)) for w in _lex_min(rotated).tolist()]
     if len(witnesses) != formula_count:
         raise AssertionError(
             f"enumerated {len(witnesses)} orbits but formula gives {formula_count}"

@@ -148,16 +148,6 @@ def _lex_min(rows: np.ndarray) -> np.ndarray:
     return rows[np.arange(len(rows)), alive.argmax(axis=1)]
 
 
-def _least_images(n: int, symbols: np.ndarray) -> np.ndarray:
-    """For each sorted int64 row S of the (B, L) symbols, the lexicographically
-    least m*S over all units m: (B, L)."""
-    least = symbols.copy()
-    for lo, _, rows in _multiplier_rows(n, symbols):
-        part = least[lo:lo + len(rows)]
-        part[...] = _lex_min(np.concatenate((part[:, None, :], rows), axis=1))
-    return least
-
-
 def fixing_subgroup(symbol: ConnectionSet) -> Subgroup:
     """All units k with k*S = S setwise; the whole unit group for empty S."""
     return Subgroup(symbol.n, _fixers(symbol.n, _symbol_rows(symbol))[0])
@@ -215,8 +205,9 @@ def least_multiplier_image(symbol: ConnectionSet) -> ConnectionSet:
     Multiplier-equivalent symbols share it; at prime order it is therefore
     a canonical form for isomorphism.
     """
-    least = _least_images(symbol.n, _symbol_rows(symbol))[0]
-    return ConnectionSet(symbol.n, tuple(least.tolist()))
+    images = _multiplier_rows(symbol.n, _symbol_rows(symbol))
+    least = min(tuple(_lex_min(rows)[0].tolist()) for _, _, rows in images)
+    return ConnectionSet(symbol.n, least)
 
 
 def multiplier_isomorphic(

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import numtheory
 from .census import (
+    canonical_form,
     lower_bound,
     multiplier_orbit_check,
     power_sum_nonvanishing,
@@ -51,6 +52,12 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float
+
+
+def _require(condition: bool, message: str) -> None:
+    """Fail the running check; unlike `assert`, this survives `python -O`."""
+    if not condition:
+        raise AssertionError(message)
 
 
 def _run(name: str, fn: Callable[[], str]) -> CheckResult:
@@ -187,7 +194,7 @@ def random_symbols(count: int, n_lo: int, n_hi: int, seed: int):
 def check_table_golden(d_max: int = 100) -> CheckResult:
     def body() -> str:
         mismatch = table_mismatch(degree_table(d_max), d_max)
-        assert mismatch is None, f"table mismatch: {mismatch}"
+        _require(mismatch is None, f"table mismatch: {mismatch}")
         return f"{d_max} rows match the published table"
 
     return _run("table-reproduction", body)
@@ -214,10 +221,13 @@ def check_example_census(p: int, d: int) -> CheckResult:
     def body() -> str:
         expected = _EXAMPLE_WITNESSES[(p, d)]
         record = prime_census(p, d)
-        assert record.value == len(expected), (
+        _require(
+            record.value == len(expected),
             f"census({p},{d}) = {record.value}, expected {len(expected)}"
         )
-        assert multiplier_orbit_check(record), "witnesses not pairwise distinct"
+        _require(multiplier_orbit_check(record), "witnesses not pairwise distinct")
+        for w in record.witnesses:
+            _require(canonical_form(w) == w, f"witness {w.encode()} is not canonical")
         matched = set()
         for known in expected:
             target = make_connection_set(p, known)
@@ -226,9 +236,9 @@ def check_example_census(p: int, d: int) -> CheckResult:
                 for i, w in enumerate(record.witnesses)
                 if multiplier_isomorphic(w, target) is not None
             ]
-            assert len(hits) == 1, f"{sorted(known)} matched {len(hits)} witnesses"
+            _require(len(hits) == 1, f"{sorted(known)} matched {len(hits)} witnesses")
             matched.add(hits[0])
-        assert len(matched) == len(expected), "witness matching is not a bijection"
+        _require(len(matched) == len(expected), "witness matching is not a bijection")
         return f"census({p},{d}) = {record.value} with all published witnesses matched"
 
     return _run(f"census-{p}-{d}", body)
@@ -250,7 +260,8 @@ def check_prime_degree_counts(p_max: int = 300) -> CheckResult:
                 continue
             record = prime_census(p, d)
             want = (2**d - 2) // d
-            assert record.value == want, (
+            _require(
+                record.value == want,
                 f"census({p},{d}) = {record.value}, expected {want}"
             )
             pairs += 1
@@ -266,7 +277,8 @@ def check_sandwich(p_max: int = 200) -> CheckResult:
             low, _ = lower_bound(p, d)
             mid = prime_census(p, d).value
             high = prime_order_upper_bound(d)
-            assert low <= mid <= high, (
+            _require(
+                low <= mid <= high,
                 f"sandwich fails at (p={p}, d={d}): {low} <= {mid} <= {high}"
             )
             pairs += 1
@@ -280,11 +292,13 @@ def check_integral_counts(n_max: int = 120) -> CheckResult:
         for n in range(1, n_max + 1):
             formula = count_connected_integral(n)
             brute = count_connected_integral_bruteforce(n)
-            assert formula == brute, (
+            _require(
+                formula == brute,
                 f"n = {n}: formula {formula} != brute force {brute}"
             )
             total = sum(count_connected_integral(d) for d in divisors(n))
-            assert total == 2 ** (tau(n) - 1), (
+            _require(
+                total == 2 ** (tau(n) - 1),
                 f"n = {n}: divisor sum {total} != 2^(tau-1)"
             )
         return f"formula = enumeration and divisor-sum identity for n <= {n_max}"
@@ -302,12 +316,13 @@ def check_oracle_equivalence(
         total = 0
         for n in range(1, n_exhaustive + 1):
             checked, bad, first = exhaustive_oracle_sweep(n)
-            assert bad == 0, f"degree/oracle mismatch at n = {n}, orbit mask {first}"
+            _require(bad == 0, f"degree/oracle mismatch at n = {n}, orbit mask {first}")
             total += checked
         for symbol in random_symbols(samples, n_exhaustive + 1, n_random_max, seed):
             got = splitting_field_degree(symbol)
             want = algebraic_degree(symbol)
-            assert got == want, (
+            _require(
+                got == want,
                 f"oracle {got} != degree {want} for {symbol.encode()}"
             )
         return f"{total} exhaustive symbols (n <= {n_exhaustive}) + {samples} random"
@@ -321,9 +336,9 @@ def check_prime_power_counts(limit: int = 1024) -> CheckResult:
             value = count_connected_integral(n)
             floor = 2 ** (tau(n) - 2)
             if is_prime_power(n):
-                assert value == floor, f"prime power {n}: {value} != {floor}"
+                _require(value == floor, f"prime power {n}: {value} != {floor}")
             else:
-                assert value > floor, f"composite {n}: {value} <= {floor}"
+                _require(value > floor, f"composite {n}: {value} <= {floor}")
         return f"equality on prime powers, strict above them, for 1 < n <= {limit}"
 
     return _run("prime-power-equality", body)
@@ -336,13 +351,15 @@ def check_constructions(n_max: int = 200, d_prime_max: int = 100) -> CheckResult
             phi = euler_phi(n)
             for d in divisors(phi // 2):
                 symbol = regular_construction(n, d)
-                assert symbol.valency() == phi // d, (
+                _require(
+                    symbol.valency() == phi // d,
                     f"valency of construction ({n}, {d}) is {symbol.valency()}"
                 )
                 built += 1
         for d in range(1, d_prime_max + 1):
             p, symbol = minimal_prime_construction(d)
-            assert algebraic_degree(symbol) == d, (
+            _require(
+                algebraic_degree(symbol) == d,
                 f"prime construction for d = {d} has the wrong degree"
             )
         return f"{built} subgroup constructions and {d_prime_max} prime constructions"
@@ -355,7 +372,8 @@ def check_power_sums(p_max: int = 200) -> CheckResult:
         triples = 0
         for p, d in _prime_order_degrees(p_max):
             for m in range(1, d):
-                assert power_sum_nonvanishing(p, d, m), (
+                _require(
+                    power_sum_nonvanishing(p, d, m),
                     f"power sum vanishes at (p={p}, d={d}, m={m})"
                 )
                 triples += 1
@@ -369,9 +387,9 @@ def check_arithmetic_identities(n_max: int = 2000) -> CheckResult:
         for n in range(1, n_max + 1):
             # Called through the module so fault injection is visible here.
             phi_sum = sum(numtheory.euler_phi(d) for d in divisors(n))
-            assert phi_sum == n, f"totient divisor sum fails at n = {n}"
+            _require(phi_sum == n, f"totient divisor sum fails at n = {n}")
             mu_sum = sum(numtheory.mobius(d) for d in divisors(n))
-            assert mu_sum == (1 if n == 1 else 0), f"Mobius sum fails at n = {n}"
+            _require(mu_sum == (1 if n == 1 else 0), f"Mobius sum fails at n = {n}")
         return f"divisor-sum identities for n <= {n_max}"
 
     return _run("arithmetic-identities", body)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from circdeg import census
+from circdeg import census, verify
 from circdeg.census import (
     CensusRecord,
     admits_degree,
@@ -160,6 +160,16 @@ def test_prime_census_witness_properties():
             assert algebraic_degree(w) == d
             assert is_connected(w)
             assert canonical_form(w) == w
+
+
+def test_non_canonical_witnesses_are_caught(monkeypatch):
+    # the first rotation is the orbit's least mask, not its least residue set
+    monkeypatch.setattr(census, "_lex_min", lambda rows: rows[:, 0])
+    result = verify.check_example_census(11, 5)
+    assert not result.passed
+    assert "is not canonical" in result.detail
+    with pytest.raises(AssertionError):
+        test_prime_census_witness_properties()
 
 
 def test_prime_census_catches_a_wrong_fixing_subgroup(monkeypatch):

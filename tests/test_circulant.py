@@ -309,8 +309,8 @@ def test_batched_scans_match_multiplier_images(monkeypatch, block):
             symbols = np.array(batch, dtype=np.int64).reshape(len(batch), size)
             reference = [reference_batch_scan(n, elements) for elements in batch]
             assert circulant._fixers(n, symbols) == [f for f, _ in reference]
-            least = circulant._least_images(n, symbols).tolist()
-            assert [tuple(row) for row in least] == [m for _, m in reference]
+            least = [least_multiplier_image(ConnectionSet(n, row)) for row in batch]
+            assert [image.elements for image in least] == [m for _, m in reference]
             covered = []
             for lo, m, rows in circulant._multiplier_rows(n, symbols):
                 assert rows.size <= max(limit, size), (n, size)
@@ -320,3 +320,17 @@ def test_batched_scans_match_multiplier_images(monkeypatch, block):
             assert sorted(covered) == [(i, k) for i in range(len(batch)) for k in units(n)]
     if block is not None:
         assert split_units and split_symbols
+
+
+def test_lex_min_matches_python_min():
+    rng = np.random.default_rng(5)
+    extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+    # (B, M, L): few distinct entries leave ties in the leading columns and
+    # whole equal rows; M = 1 and L = 0 are the degenerate slabs
+    for shape in ((6, 5, 4), (4, 1, 3), (3, 4, 0), (5, 9, 7), (1, 6, 2)):
+        for rows in (rng.integers(0, 3, size=shape), rng.choice(extremes, size=shape)):
+            got = circulant._lex_min(rows)
+            assert got.shape == (shape[0], shape[2])
+            assert [tuple(row) for row in got.tolist()] == [
+                min(tuple(row) for row in slab) for slab in rows.tolist()
+            ]

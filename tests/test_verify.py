@@ -1,6 +1,11 @@
 import ast
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import circdeg
 from circdeg import cyclotomic, integral, numtheory, verify
 from circdeg.circulant import algebraic_degree, make_connection_set, pair_orbits
 from circdeg.cyclotomic import splitting_field_degree
@@ -119,6 +124,22 @@ def test_fault_injection_is_caught(monkeypatch):
     result = verify.check_arithmetic_identities(200)
     assert not result.passed
     assert "totient" in result.detail
+
+
+def test_fault_injection_is_caught_under_python_O():
+    # `python -O` strips assert statements; the checks must fail anyway.
+    code = (
+        "from circdeg import numtheory, verify\n"
+        "numtheory.euler_phi = numtheory.tau\n"
+        "result = verify.check_arithmetic_identities(200)\n"
+        "print(result.passed, result.detail)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(circdeg.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("False totient divisor sum fails"), run.stdout
 
 
 def test_cmd_verify_exit_code_on_failure(monkeypatch, capsys):
