@@ -182,12 +182,10 @@ def _orbit_representatives(d: int) -> tuple[np.ndarray, np.ndarray]:
     return masks[least], aperiodic[least]
 
 
-def prime_census(
-    p: int, d: int, enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> CensusRecord:
+def prime_census(p: int, d: int) -> CensusRecord:
     """Exact census of degree-d circulant graphs of odd prime order p.
 
-    For d up to the enumeration limit, takes the least mask of every
+    For d up to DEFAULT_ENUMERATION_LIMIT, takes the least mask of every
     rotation orbit of nonempty proper subsets of the d cosets of the
     order-(p-1)/d subgroup H.  The unions of the same number of cosets have
     one size, so each size is one int64 batch of residue sets, and one
@@ -206,7 +204,7 @@ def prime_census(
     if formula_total % d != 0:  # pragma: no cover
         raise AssertionError(f"aperiodic subset count not divisible by {d}")
     formula_count = formula_total // d
-    if d > enumeration_limit:
+    if d > DEFAULT_ENUMERATION_LIMIT:
         return CensusRecord(p, d, "exact", formula_count, (), "aperiodic-subset-formula")
 
     subgroup, reps = _prime_cosets(p, d)

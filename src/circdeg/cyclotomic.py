@@ -17,7 +17,10 @@ zero: x^n - 1 is squarefree, and g_n vanishes at every non-primitive n-th
 root of unity and at no primitive one (de Bruijn 1953; Lam and Leung, J.
 Algebra 224, 2000).  So eigenvalues j and j' are equal iff the annihilated
 histograms H_j * g_n and H_j' * g_n are, and each costs one cyclic
-roll-and-subtract per prime p | n.
+roll-and-subtract per prime p | n.  The oracle and the exhaustive sweep
+compare 64-bit fingerprints of these histograms, taken through the adjoint
+of g_n without building them, and build exact rows only for the few
+indices j they must confirm.
 """
 
 from __future__ import annotations
@@ -45,11 +48,11 @@ _COEFF_BOUND = 1 << 40
 _PHI_COEFF_BOUND = 1 << 22
 _MAX_TABLE_CELLS = 1 << 27
 
-# The annihilated histograms are n x n.  A row's absolute sum starts at |S|
-# and at most doubles with each of the omega(n) factors x^(n/p) - 1, so
-# every entry is exact in int32 while |S| * 2^omega(n) < _ROW_ENTRY_BOUND.
-_MAX_HISTOGRAM_CELLS = 1 << 27
-_ROW_ENTRY_BOUND = 1 << 31
+# The eigenvalue oracle does n * |S| work for its fingerprints and
+# n * 2 tau(n) for each exact confirmation; splitting_field_degree refuses
+# a symbol past this many cells of either before any work.
+_MAX_ORACLE_WORK = 1 << 27
+_FINGERPRINT_SEED = 20240
 
 
 @dataclass(frozen=True)
@@ -271,65 +274,80 @@ def eigenvalue_matrix(symbol: ConnectionSet) -> np.ndarray:
     return out
 
 
-def _annihilated_rows(symbol: ConnectionSet) -> np.ndarray:
-    """Row j holds H_j * g_n, the annihilated exponent histogram, as int32.
+def _fingerprints(n: int, elements: Sequence[int]) -> np.ndarray:
+    """fp[j] = <H_j * g_n, w> mod 2^64 for every j, w a fixed random vector.
 
-    Rows j and j' are equal iff eigenvalues j and j' are (see the module
-    docstring).  The map from S to the rows is additive over disjoint sets.
-    Raises ValueError past the n*n cell limit, before any work, and
-    ArithmeticError where an entry could leave the exact int32 range.
+    Multiplying by x^(n/p) - 1 has the adjoint "roll w by -n/p, subtract w",
+    so fp[j] = sum over s in S of w'[j*s mod n]: n * |S| work, no rows.
     """
-    n = symbol.n
-    if n * n > _MAX_HISTOGRAM_CELLS:
-        raise ValueError(
-            f"eigenvalue rows for n = {n} have {n * n} cells, over the limit of "
-            f"{_MAX_HISTOGRAM_CELLS}"
-        )
-    primes = factorize(n).primes()
-    if len(symbol.elements) << len(primes) >= _ROW_ENTRY_BOUND:
-        raise ArithmeticError(
-            f"annihilated rows for n = {n}, |S| = {len(symbol.elements)} exceed "
-            f"the int32 bound"
-        )
-    j_idx = np.arange(n, dtype=np.int64)[:, None]
-    cells = j_idx * n + (j_idx * np.array(symbol.elements, dtype=np.int64)) % n
-    rows = np.bincount(cells.ravel(), minlength=n * n).astype(np.int32).reshape(n, n)
-    for p in primes:
+    weights = np.random.default_rng(_FINGERPRINT_SEED).integers(
+        0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True
+    )
+    for p in factorize(n).primes():
+        weights = np.roll(weights, -(n // p)) - weights
+    cols = np.multiply.outer(np.array(elements, dtype=np.int64), np.arange(n))
+    cols %= n
+    return weights[cols].sum(axis=0, dtype=np.uint64)
+
+
+def _annihilated_rows(n: int, elements: Sequence[int], js: Iterable[int]) -> np.ndarray:
+    """Row i holds H_j * g_n for j = js[i], the annihilated exponent histogram.
+
+    Entries start below n and at most double with each of the omega(n)
+    factors x^(n/p) - 1; 2^omega(n) <= n, so they stay exact in int64.
+    """
+    js = np.asarray(js, dtype=np.int64)
+    cells = np.arange(len(js))[:, None] * n
+    cells = cells + np.multiply.outer(js, np.array(elements, dtype=np.int64)) % n
+    rows = np.bincount(cells.ravel(), minlength=len(js) * n).reshape(len(js), n)
+    for p in factorize(n).primes():
         # times x^(n/p) - 1: coefficient e becomes H[e - n/p] - H[e]
-        shifted = np.roll(rows, n // p, axis=1)
-        shifted -= rows
-        rows = shifted
+        rows = np.roll(rows, n // p, axis=1) - rows
     return rows
 
 
 def splitting_field_degree(symbol: ConnectionSet) -> int:
     """Degree over Q of the field generated by all eigenvalues.
 
-    Counts the units k whose automorphism fixes every eigenvalue and returns
-    phi(n) divided by that count.  The automorphism z -> z^k sends
-    eigenvalue j to eigenvalue k*j.  Every j is g*u for g = gcd(j, n) and a
-    unit u, and the automorphisms commute, so k fixes every eigenvalue iff
-    it fixes eigenvalue g for every divisor g of n: a phi(n) x tau(n) test
-    instead of phi(n) x n.  Row k*g lies in the gcd class of g, so k fixes
-    eigenvalue g iff annihilated histogram row k*g equals the row of its
-    own gcd class.  Two rows are equal iff the eigenvalues are, because
-    multiplication by g_n = prod over p | n of (x^(n/p) - 1) has kernel
-    exactly the multiples of Phi_n in Z[x]/(x^n - 1).  Divisor n and
-    gcd(0, n) = n are taken mod n, so column 0 (eigenvalue |S|, which every
-    k fixes) stands in for them.  The test never inspects k*S = S.  The
-    value must agree with algebraic_degree(S); any disagreement is a bug in
-    one of the two routes and is surfaced by the verification suite, never
-    reconciled here.
+    Finds the group F of units k whose automorphism fixes every eigenvalue
+    and returns phi(n) / |F|.  The automorphism z -> z^k sends eigenvalue j
+    to eigenvalue k*j.  Every j is g*u for g = gcd(j, n) and a unit u, and
+    the automorphisms commute, so k lies in F iff it fixes eigenvalue g for
+    every divisor g of n, i.e. iff annihilated row k*g equals row g (see the
+    module docstring).  Divisor n is taken mod n, so column 0 (eigenvalue
+    |S|, which every k fixes) stands in for it.
+
+    The units that pass this test on fingerprints contain F, since equal
+    rows have equal fingerprints.  Walking them in ascending order, each one
+    outside the span of those confirmed so far is tested on exact rows, and
+    a confirmed one extends the span by its powers.  The span only ever
+    holds elements of F and every element of F is walked, so it ends as F.
+    The test never inspects k*S = S.  The value must agree with
+    algebraic_degree(S); any disagreement is a bug in one of the two routes
+    and is surfaced by the verification suite, never reconciled here.
+    Raises ValueError, before any work, where n * max(|S|, 2 tau(n)) is
+    over the oracle's work limit.
     """
-    n = symbol.n
-    rows = _annihilated_rows(symbol)
-    j_idx = np.arange(n, dtype=np.int64)
-    # good[j]: eigenvalue j equals eigenvalue gcd(j, n)
-    good = (rows == rows[np.gcd(j_idx, n) % n]).all(axis=1)
+    n, elements = symbol.n, symbol.elements
+    divs = np.array(divisors(n), dtype=np.int64) % n
+    work = n * max(len(elements), 2 * len(divs))
+    if work > _MAX_ORACLE_WORK:
+        raise ValueError(
+            f"eigenvalue oracle for n = {n}, |S| = {len(elements)} needs "
+            f"n * max(|S|, 2 tau(n)) = {work}, over the limit of {_MAX_ORACLE_WORK}"
+        )
+    fp = _fingerprints(n, elements)
     unit = np.array(units(n), dtype=np.int64)
-    divs = np.array(divisors(n), dtype=np.int64)
-    fixers = int(np.count_nonzero(good[(unit[:, None] * divs) % n].all(axis=1)))
-    phi = len(unit)
-    if phi % fixers != 0:  # pragma: no cover
-        raise AssertionError("eigenvalue fixers do not form a subgroup")
-    return phi // fixers
+    candidates = unit[(fp[np.multiply.outer(unit, divs) % n] == fp[divs]).all(axis=1)]
+    span = {1 % n}
+    for k in candidates.tolist():
+        if k in span:
+            continue
+        rows = _annihilated_rows(n, elements, np.concatenate([divs, k * divs % n]))
+        if np.array_equal(rows[: len(divs)], rows[len(divs) :]):
+            grown, power = set(span), k
+            while power not in span:
+                grown.update(power * x % n for x in span)
+                power = power * k % n
+            span = grown
+    return len(unit) // len(span)

@@ -12,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .circulant import (
-    ConnectionSet,
-    algebraic_degree,
-    regular_construction,
-)
+from .circulant import ConnectionSet, regular_construction
 from .numtheory import euler_phi, smallest_prime_1_mod_2d
 from .unitgroup import ConstructionError
 
@@ -72,8 +68,6 @@ def _row(d: int, c: int) -> TableRow:
         witness = ConnectionSet(1, ())
     else:
         witness = regular_construction(c, d)
-    if algebraic_degree(witness) != d:  # pragma: no cover
-        raise ConstructionError(f"table witness for d = {d} has the wrong degree")
     return TableRow(d, c, p, c < p, witness)
 
 

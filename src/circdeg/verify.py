@@ -35,7 +35,7 @@ from .circulant import (
     pair_orbits,
     regular_construction,
 )
-from .cyclotomic import _annihilated_rows, splitting_field_degree
+from .cyclotomic import _annihilated_rows, _fingerprints, splitting_field_degree
 from .golden import table_mismatch
 from .integral import (
     count_connected_integral,
@@ -80,21 +80,6 @@ def _run(name: str, fn: Callable[[], str]) -> CheckResult:
 # Masks are enumerated in chunks of 2**_LOW_BITS: the low orbit bits vary
 # inside a chunk, the high bits select the chunk.
 _LOW_BITS = 14
-_FINGERPRINT_SEED = 20240
-
-
-def _orbit_rows(n: int) -> np.ndarray:
-    """Annihilated eigenvalue rows of each pair orbit: [o, j] is row j of orbit o.
-
-    Rows j and j' of a symbol are equal iff its eigenvalues j and j' are.
-    The rows of the symbol with orbit mask M are the sum of the rows of the
-    orbits in M.
-    """
-    orbits = pair_orbits(n)
-    rows = np.zeros((len(orbits), n, n), dtype=np.int32)
-    for o, orbit in enumerate(orbits):
-        rows[o] = _annihilated_rows(make_connection_set(n, orbit))
-    return rows
 
 
 def exhaustive_oracle_sweep(n: int) -> tuple[int, int, int]:
@@ -113,25 +98,23 @@ def exhaustive_oracle_sweep(n: int) -> tuple[int, int, int]:
       every j.  Divisor n is taken mod n (column 0).
 
     The oracle side compares one linear 64-bit fingerprint per row (a fixed
-    random projection, wrapping mod 2**64).  Equal rows have equal
-    fingerprints and kS = S fixes every eigenvalue, so fingerprint fixers
-    contain the exact eigenvalue fixers, which contain the degree fixers:
-    where the two sides agree for every k, they agree exactly.  Each mask
-    where they differ is re-checked exactly on the sweep's own orbit rows,
-    over all n columns, which dismisses a fingerprint collision but not a
-    wrong row.
+    random projection, wrapping mod 2**64), the fingerprints the oracle
+    uses; a mask's fingerprints are the sum of its orbits'.  Equal rows have
+    equal fingerprints and kS = S fixes every eigenvalue, so fingerprint
+    fixers contain the exact eigenvalue fixers, which contain the degree
+    fixers: where the two sides agree for every k, they agree exactly.  Each
+    mask where they differ is re-checked on the exact rows of its own
+    symbol, over all n columns, which dismisses a fingerprint collision but
+    not a wrong row.
 
     Returns (symbols checked, mismatches, first offending mask or -1).
     Symbols checked is 2 ** len(pair_orbits(n)), the empty symbol included;
     mismatches counts only the masks whose exact eigenvalue fixers differ
     from their degree fixers.
     """
-    num_orbits = len(pair_orbits(n))
-    rows = _orbit_rows(n)
-    weights = np.random.default_rng(_FINGERPRINT_SEED).integers(
-        0, 2**64 - 1, size=rows.shape[2], dtype=np.uint64, endpoint=True
-    )
-    fp = rows.astype(np.int64).view(np.uint64) @ weights  # fp[o, j]
+    orbits = [make_connection_set(n, orbit).elements for orbit in pair_orbits(n)]
+    num_orbits = len(orbits)
+    fp = np.array([_fingerprints(n, o) for o in orbits], np.uint64).reshape(-1, n)
     j_idx = np.arange(n, dtype=np.int64)
     kmul = (np.array(units(n), dtype=np.int64)[:, None] * j_idx) % n
     kdiv = kmul[:, np.array(divisors(n), dtype=np.int64) % n]
@@ -164,7 +147,8 @@ def exhaustive_oracle_sweep(n: int) -> tuple[int, int, int]:
         flagged = (deg_fixed.T != eig_fixed).any(axis=1)
         for idx in np.flatnonzero(flagged):
             mask = int(masks[idx])
-            lam = rows[[o for o in range(num_orbits) if mask >> o & 1]].sum(axis=0)
+            elements = [s for o in range(num_orbits) if mask >> o & 1 for s in orbits[o]]
+            lam = _annihilated_rows(n, elements, j_idx)
             exact_fixed = [np.array_equal(lam[kj], lam) for kj in kmul]
             if exact_fixed != deg_fixed[:, idx].tolist():
                 mismatches += 1

@@ -194,11 +194,13 @@ def test_prime_census_checks_the_orbit_count_against_the_formula(monkeypatch):
         prime_census(11, 5)
 
 
-def test_prime_census_formula_path_agrees_with_enumeration():
+def test_prime_census_formula_path_agrees_with_enumeration(monkeypatch):
     # force the formula path on degrees the enumerator can still handle
     for p, d in ((29, 14), (41, 10), (37, 9), (23, 11), (31, 15)):
-        enum = prime_census(p, d, enumeration_limit=15)
-        formula = prime_census(p, d, enumeration_limit=1)
+        monkeypatch.setattr(census, "DEFAULT_ENUMERATION_LIMIT", 15)
+        enum = prime_census(p, d)
+        monkeypatch.setattr(census, "DEFAULT_ENUMERATION_LIMIT", 1)
+        formula = prime_census(p, d)
         assert enum.method == "coset-orbit-enumeration"
         assert formula.method == "aperiodic-subset-formula"
         assert enum.value == formula.value

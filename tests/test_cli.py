@@ -162,12 +162,17 @@ def test_deg_oracle_disagreement_exit_code(capsys, monkeypatch):
 def test_deg_oracle_over_size_limit_prints_nothing(capsys, monkeypatch):
     import circdeg.cyclotomic as cyclotomic_module
 
-    # 12:1,11 needs 12 x 12 annihilated histogram cells.
-    monkeypatch.setattr(cyclotomic_module, "_MAX_HISTOGRAM_CELLS", 143)
+    # 12:1,11 needs n * max(|S|, 2 tau(n)) = 12 * 12 oracle work.
+    def no_work(*args):
+        raise AssertionError("oracle work started before the limit check")
+
+    monkeypatch.setattr(cyclotomic_module, "_MAX_ORACLE_WORK", 143)
+    monkeypatch.setattr(cyclotomic_module, "_fingerprints", no_work)
+    monkeypatch.setattr(cyclotomic_module, "_annihilated_rows", no_work)
     code, out, err = run(capsys, "deg", "12:1,11", "--oracle")
     assert code == EXIT_USAGE
     assert out == ""
-    assert "144 cells" in err and "limit of 143" in err
+    assert "144, over the limit of 143" in err
 
 
 def test_deg_over_unit_scan_limit_exits_2_at_once(capsys):

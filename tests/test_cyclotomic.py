@@ -11,6 +11,7 @@ from circdeg.cyclotomic import (
     CyclotomicInt,
     IntPolynomial,
     _annihilated_rows,
+    _fingerprints,
     _power_matrix,
     _power_table,
     cyclotomic_polynomial,
@@ -259,7 +260,9 @@ def _partition_mismatches():
     """Symbols whose annihilated rows split j unlike the eigenvalues do."""
     bad = 0
     for symbol in random_symbols(1200, 2, 60, seed=4099):
-        by_rows = _equal_row_pairs(_annihilated_rows(symbol))
+        by_rows = _equal_row_pairs(
+            _annihilated_rows(symbol.n, symbol.elements, range(symbol.n))
+        )
         by_value = _equal_row_pairs(eigenvalue_matrix(symbol))
         bad += not np.array_equal(by_rows, by_value)
     return bad
@@ -290,30 +293,20 @@ def test_row_partition_test_sees_a_factor_vanishing_at_primitive_roots(
     assert _partition_mismatches() > 0
 
 
-def test_annihilated_rows_size_limit(monkeypatch):
+def test_oracle_work_limit(monkeypatch):
+    # 12:1,11 needs n * max(|S|, 2 tau(n)) = 12 * max(2, 12) = 144.
     symbol = make_connection_set(12, {1, 11})
-    monkeypatch.setattr(cyclotomic_module, "_MAX_HISTOGRAM_CELLS", 144)
-    assert _annihilated_rows(symbol).shape == (12, 12)
-    monkeypatch.setattr(cyclotomic_module, "_MAX_HISTOGRAM_CELLS", 143)
+    monkeypatch.setattr(cyclotomic_module, "_MAX_ORACLE_WORK", 144)
+    assert splitting_field_degree(symbol) == 2
 
-    def no_factoring(n):
-        raise AssertionError("factored before the size check")
+    def no_work(*args):
+        raise AssertionError("oracle work started before the limit check")
 
-    monkeypatch.setattr(cyclotomic_module, "factorize", no_factoring)
-    with pytest.raises(ValueError, match="144 cells, over the limit of 143"):
-        _annihilated_rows(symbol)
-    with pytest.raises(ValueError, match="144 cells"):
+    monkeypatch.setattr(cyclotomic_module, "_MAX_ORACLE_WORK", 143)
+    monkeypatch.setattr(cyclotomic_module, "_fingerprints", no_work)
+    monkeypatch.setattr(cyclotomic_module, "_annihilated_rows", no_work)
+    with pytest.raises(ValueError, match="144, over the limit of 143"):
         splitting_field_degree(symbol)
-
-
-def test_annihilated_rows_int32_bound(monkeypatch):
-    # |S| * 2^omega(12) = 2 * 4 = 8.
-    symbol = make_connection_set(12, {1, 11})
-    monkeypatch.setattr(cyclotomic_module, "_ROW_ENTRY_BOUND", 9)
-    assert _annihilated_rows(symbol).dtype == np.int32
-    monkeypatch.setattr(cyclotomic_module, "_ROW_ENTRY_BOUND", 8)
-    with pytest.raises(ArithmeticError):
-        _annihilated_rows(symbol)
 
 
 def _symmetric_symbols(n_max):
@@ -358,6 +351,36 @@ def test_oracle_sees_a_missing_divisor_column(monkeypatch, wrong_divisors):
     # Each gcd class needs its own column: with a divisor left out, some k
     # passes the test without fixing every eigenvalue.
     monkeypatch.setattr(cyclotomic_module, "divisors", wrong_divisors)
+    assert _degree_disagreements(_symmetric_symbols(20)) > 0
+
+
+def test_fingerprints_project_the_exact_rows():
+    # The sweep sums orbit fingerprints and re-checks only the masks they
+    # flag, so fingerprints must be this exact projection of the rows.
+    symbols = [*_symmetric_symbols(20), *random_symbols(300, 2, 200, seed=41)]
+    for symbol in symbols:
+        n = symbol.n
+        weights = np.random.default_rng(cyclotomic_module._FINGERPRINT_SEED).integers(
+            0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True
+        )
+        rows = _annihilated_rows(n, symbol.elements, range(n))
+        expected = rows.view(np.uint64) @ weights
+        assert np.array_equal(_fingerprints(n, symbol.elements), expected), symbol
+
+
+def test_oracle_confirms_fingerprint_candidates_exactly(monkeypatch):
+    # With blind fingerprints every unit is a candidate; the exact rows
+    # alone must then decide the fixers ...
+    monkeypatch.setattr(
+        cyclotomic_module, "_fingerprints", lambda n, elements: np.zeros(n, np.uint64)
+    )
+    assert _degree_disagreements(_symmetric_symbols(20)) == 0
+    # ... so with blind rows as well, the oracle must go wrong.
+    monkeypatch.setattr(
+        cyclotomic_module,
+        "_annihilated_rows",
+        lambda n, elements, js: np.zeros((len(js), n), np.int64),
+    )
     assert _degree_disagreements(_symmetric_symbols(20)) > 0
 
 

@@ -2,12 +2,13 @@ import dataclasses
 
 import pytest
 
-from circdeg import mintable
+from circdeg import circulant, mintable
 from circdeg.circulant import algebraic_degree, is_connected
 from circdeg.cyclotomic import splitting_field_degree
 from circdeg.golden import GOLDEN_TABLE, golden_rows, table_mismatch
 from circdeg.mintable import degree_table, min_order_for_degree, strict_rows
 from circdeg.numtheory import euler_phi, is_prime, smallest_prime_1_mod_2d
+from circdeg.unitgroup import ConstructionError
 
 
 def test_min_order_examples():
@@ -89,6 +90,13 @@ def test_table_witnesses_verified_both_routes():
         if row.d > 1:
             assert row.witness.valency() == euler_phi(row.c_of_d) // row.d
             assert is_connected(row.witness)
+
+
+def test_table_witness_of_the_wrong_degree_is_refused(monkeypatch):
+    # regular_construction checks each witness's degree once, for the table.
+    monkeypatch.setattr(circulant, "algebraic_degree", lambda symbol: 0)
+    with pytest.raises(ConstructionError, match=r"construction \(5, 2\) failed"):
+        degree_table(2)
 
 
 def test_prime_bound_column():

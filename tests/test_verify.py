@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import circdeg
 from circdeg import cyclotomic, integral, numtheory, verify
 from circdeg.circulant import algebraic_degree, make_connection_set, pair_orbits
@@ -33,16 +35,37 @@ def test_sweep_agrees_with_public_functions_exhaustively():
             assert algebraic_degree(symbol) == splitting_field_degree(symbol)
 
 
+def _sweep_12_with_a_corrupted_row(monkeypatch, j):
+    """Sweep n = 12 with row j of orbit {1, 11} one off in its constant term.
+
+    Both routines the sweep reads see it: the fingerprint at j of orbit
+    {1, 11} moves by the weight of column 0, and row j, column 0 of the
+    exact rows of every symbol holding 1 moves by one.
+    """
+    fingerprints, rows = verify._fingerprints, verify._annihilated_rows
+    weight_0 = np.random.default_rng(cyclotomic._FINGERPRINT_SEED).integers(
+        0, 2**64 - 1, size=12, dtype=np.uint64, endpoint=True
+    )[0]
+
+    def corrupted_fingerprints(n, elements):
+        fp = fingerprints(n, elements)
+        if tuple(elements) == (1, 11):
+            fp[j : j + 1] += weight_0
+        return fp
+
+    def corrupted_rows(n, elements, js):
+        out = rows(n, elements, js)
+        if 1 in elements:
+            out[np.asarray(js) == j, 0] += 1
+        return out
+
+    monkeypatch.setattr(verify, "_fingerprints", corrupted_fingerprints)
+    monkeypatch.setattr(verify, "_annihilated_rows", corrupted_rows)
+    return verify.exhaustive_oracle_sweep(12)
+
+
 def test_sweep_reports_a_corrupted_orbit_row(monkeypatch):
-    clean = verify._orbit_rows(12)
-
-    def corrupted(n):
-        rows = clean.copy()
-        rows[0, 1, 0] += 1  # orbit {1, 11}, eigenvalue j = 1, constant term
-        return rows
-
-    monkeypatch.setattr(verify, "_orbit_rows", corrupted)
-    checked, bad, first = verify.exhaustive_oracle_sweep(12)
+    checked, bad, first = _sweep_12_with_a_corrupted_row(monkeypatch, 1)
     # k = 11 fixes every symbol but no longer row 1 of any mask holding
     # orbit 0; the exact re-check must confirm it, not dismiss it.
     assert checked == 64
@@ -50,15 +73,7 @@ def test_sweep_reports_a_corrupted_orbit_row(monkeypatch):
 
 
 def test_sweep_sees_a_corrupted_row_off_the_divisor_columns(monkeypatch):
-    clean = verify._orbit_rows(12)
-
-    def corrupted(n):
-        rows = clean.copy()
-        rows[0, 5, 0] += 1  # orbit {1, 11}, eigenvalue j = 5, constant term
-        return rows
-
-    monkeypatch.setattr(verify, "_orbit_rows", corrupted)
-    checked, bad, first = verify.exhaustive_oracle_sweep(12)
+    checked, bad, first = _sweep_12_with_a_corrupted_row(monkeypatch, 5)
     # 5 does not divide 12, but k = 5 sends column g = 1 to it: the 16
     # masks holding orbits {1, 11} and {5, 7} are fixed by 5 and lose it.
     assert checked == 64
@@ -91,7 +106,6 @@ def test_sweep_calls_neither_public_degree_route():
     # The sweep decides kS = S and the eigenvalue fixers itself, so it
     # checks the public routes instead of repeating them.
     sweep = _referenced_names(verify.exhaustive_oracle_sweep)
-    sweep |= _referenced_names(verify._orbit_rows)
     assert not sweep & {
         "fixing_subgroup",
         "algebraic_degree",
