@@ -189,7 +189,7 @@ def prime_census(p: int, d: int) -> CensusRecord:
     rotation orbit of nonempty proper subsets of the d cosets of the
     order-(p-1)/d subgroup H.  The unions of the same number of cosets have
     one size, so each size is one int64 batch of residue sets, and one
-    batched unit scan computes every fixing subgroup directly on residues.
+    batched fixer scan computes every fixing subgroup directly on residues.
     A union must be fixed by exactly H iff its mask is aperiodic, and always
     when its coset count is coprime to d.  Multiplying by r^i rotates coset
     indices by i, so a kept union's multiplier images are its d coset

@@ -4,10 +4,11 @@ A circulant graph on n vertices joins i and j when (i - j) mod n lies in an
 inverse-symmetric set S of nonzero residues.  The units fixing S setwise form
 a subgroup whose index in the full unit group is the degree over Q of the
 splitting field of the graph's characteristic polynomial.  This module
-computes that fixing subgroup by direct scan and builds the two explicit
-constructions that realize any prescribed degree: the subgroup construction
-on an arbitrary admissible order, and the power construction on the smallest
-prime 1 mod 2d.
+computes that fixing subgroup by a pruned scan, which tests only the few
+units that can map one gcd class of S into itself (see _fixers), and builds
+the two explicit constructions that realize any prescribed degree: the
+subgroup construction on an arbitrary admissible order, and the power
+construction on the smallest prime 1 mod 2d.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .numtheory import euler_phi, smallest_prime_1_mod_2d
+from .numtheory import euler_phi, is_prime, smallest_prime_1_mod_2d
 from .unitgroup import (
     ConstructionError,
     Subgroup,
@@ -28,7 +29,9 @@ from .unitgroup import (
 )
 
 _MAX_SCAN_MODULUS = 3_037_000_499  # (n-1)^2 < 2^63: unit products are exact in int64
-_BLOCK_PRODUCTS = 1 << 20  # products m*s per block of the unit scan (at least one row)
+_BLOCK_PRODUCTS = 1 << 20  # products m*s per block of a scan (at least one row or candidate)
+_MAX_LISTED_UNITS = 1 << 24  # candidate units one fixer scan may list
+_MAX_MEMBER_TABLE = 1 << 24  # cells of a boolean membership table
 
 
 @dataclass(frozen=True)
@@ -119,15 +122,119 @@ def _symbol_rows(symbol: ConnectionSet) -> np.ndarray:
     return np.array([symbol.elements], dtype=np.int64)
 
 
+def _check_listed(count: int) -> None:
+    """Refuse a scan that would list more than _MAX_LISTED_UNITS candidates."""
+    if count > _MAX_LISTED_UNITS:
+        raise ValueError(
+            f"fixer scan would list {count} candidate units, over the limit of "
+            f"{_MAX_LISTED_UNITS}"
+        )
+
+
+def _membership(values: np.ndarray, bound: int):
+    """x -> x in values, elementwise, for int64 arrays x with entries in
+    [0, bound); values sorted, distinct and below bound.
+
+    A boolean table up to _MAX_MEMBER_TABLE cells, past that a binary search
+    of the values.
+    """
+    if bound <= _MAX_MEMBER_TABLE:
+        table = np.zeros(bound, dtype=bool)
+        table[values] = True
+        return table.__getitem__
+    ends = np.append(values, bound)  # bound matches no x, so no index runs past
+    return lambda x: ends[np.searchsorted(ends, x)] == x
+
+
+def _class_fixers(n: int, elements: list[int]) -> tuple[int, ...]:
+    """The fixers of one nonempty symbol, from its cheapest gcd class."""
+    classes: dict[int, list[int]] = {}
+    for t in elements:
+        classes.setdefault(math.gcd(t, n), []).append(t)
+    count, g, members = min(
+        (len(ts) * (euler_phi(n) // euler_phi(n // g) if g > 1 else 1), g, ts)
+        for g, ts in classes.items()
+    )
+    _check_listed(count)
+    m = n // g
+    inverse = pow(members[0] // g, -1, m)
+    residues = np.array([t // g * inverse % m for t in members], dtype=np.int64)
+    symbol = np.array(elements, dtype=np.int64)
+    contains = _membership(symbol, n)
+    lifts = len(residues) * g
+    step = max(1, _BLOCK_PRODUCTS // len(symbol))
+    found = []
+    for lo in range(0, lifts, step):
+        k = _lifts(n, m, residues, lo, min(lo + step, lifts))
+        found.append(k[contains(np.multiply.outer(k, symbol) % n).all(axis=1)])
+    fixers = np.concatenate(found)
+    fixers.sort()
+    return tuple(fixers.tolist())
+
+
+def _lifts(n: int, m: int, residues: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The units mod n among lifts lo..hi-1 of the residues mod m, where
+    lift i*R + r is residues[r] + i*m for R residues."""
+    if m == n:  # the residues of a unit class: units already, one lift each
+        return residues[lo:hi]
+    level, which = np.divmod(np.arange(lo, hi), len(residues))
+    k = residues[which] + m * level
+    return k[np.gcd(k, n) == 1]
+
+
+def _prime_fixers(p: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
+    """The fixers of (B, L) nonempty symbols at prime p, all at once.
+
+    Every element is a unit, so each row S is one class and its candidates
+    are S * s0^-1 for s0 = S[0]; no unit is listed and nothing is sorted
+    but the fixers found.
+    """
+    count, width = symbols.shape
+    _check_listed(width)
+    inverse = np.array([pow(s, -1, p) for s in symbols[:, 0].tolist()], dtype=np.int64)
+    candidates = symbols * inverse[:, None] % p
+    # row i is looked up among the residues i*p + S_i
+    offsets = np.arange(0, count * p, p, dtype=np.int64)[:, None]
+    contains = _membership(symbols + offsets, count * p)
+    hits = np.empty(candidates.shape, dtype=bool)
+    step = max(1, _BLOCK_PRODUCTS // width)  # candidates per block
+    rows = max(1, step // width)
+    for lo in range(0, count, rows):
+        for j in range(0, width, step):
+            images = candidates[lo:lo + rows, j:j + step, None] * symbols[lo:lo + rows, None, :]
+            images %= p
+            images += offsets[lo:lo + rows, :, None]
+            hits[lo:lo + rows, j:j + step] = contains(images).all(axis=2)
+    fixers = np.sort(np.where(hits, candidates, p), axis=1).tolist()
+    return [tuple(f[:c]) for f, c in zip(fixers, hits.sum(axis=1).tolist())]
+
+
 def _fixers(n: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
     """For each sorted int64 row S of the (B, L) symbols, the ascending units
-    k with k*S = S setwise."""
-    fixers: list[list[int]] = [[] for _ in range(len(symbols))]
-    for lo, m, rows in _multiplier_rows(n, symbols):
-        hits = (rows == symbols[lo:lo + len(rows), None, :]).all(axis=2)
-        for i, row in enumerate(hits, lo):
-            fixers[i] += m[row].tolist()
-    return [tuple(f) for f in fixers]
+    k with k*S = S setwise; all units for L = 0.
+
+    A pruned scan.  Take a pivot s0 in S and g = gcd(s0, n).  A unit k keeps
+    gcd(k*s, n) = gcd(s, n), so every fixer maps s0 into the class
+    S_g = {t in S : gcd(t, n) = g}.  That fixes k mod n/g to one of |S_g|
+    residues, (t/g) * (s0/g)^-1 mod n/g, and the candidates are the lifts of
+    those residues to [0, n) that are units mod n: |S_g| * phi(n)/phi(n/g)
+    of them.  The class with the fewest is taken.  Each candidate is
+    confirmed by looking up all of k*S in S; k is a unit, so k*S inside S
+    means k*S = S.  Confirmation runs in blocks of _BLOCK_PRODUCTS products
+    k*s (at least one candidate).  Nothing lists the units of n except the
+    empty symbol, and no scan lists more than _MAX_LISTED_UNITS candidates:
+    both counts are checked before any work.  Symbols are scanned one at a
+    time, except a batch at prime n, whose rows are one class each and are
+    confirmed together.
+    """
+    if n > _MAX_SCAN_MODULUS:
+        raise ValueError(f"modulus {n} exceeds the unit-scan limit {_MAX_SCAN_MODULUS}")
+    if not symbols.shape[1]:
+        _check_listed(euler_phi(n))
+        return [units(n)] * len(symbols)
+    if len(symbols) > 1 and is_prime(n):
+        return _prime_fixers(n, symbols)
+    return [_class_fixers(n, row) for row in symbols.tolist()]
 
 
 def _lex_min(rows: np.ndarray) -> np.ndarray:
@@ -149,7 +256,11 @@ def _lex_min(rows: np.ndarray) -> np.ndarray:
 
 
 def fixing_subgroup(symbol: ConnectionSet) -> Subgroup:
-    """All units k with k*S = S setwise; the whole unit group for empty S."""
+    """All units k with k*S = S setwise; the whole unit group for empty S.
+
+    Raises ValueError, before any work, past the scan's limits on the
+    modulus and on the candidates listed.
+    """
     return Subgroup(symbol.n, _fixers(symbol.n, _symbol_rows(symbol))[0])
 
 

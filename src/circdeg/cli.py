@@ -147,7 +147,8 @@ def table_csv(rows: Iterable[TableRow]) -> str:
 
 def cmd_deg(args) -> int:
     symbol = parse_connection_set(args.symbol)
-    # The unit scan refuses moduli over its int64 limit before any work.
+    # The fixer scan refuses moduli over its int64 limit, and scans listing
+    # too many candidate units, before any work.
     degree = algebraic_degree(symbol)
     fix_order = len(fixing_subgroup(symbol))
     connected = is_connected(symbol)

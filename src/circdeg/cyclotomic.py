@@ -53,6 +53,9 @@ _MAX_TABLE_CELLS = 1 << 27
 # a symbol past this many cells of either before any work.
 _MAX_ORACLE_WORK = 1 << 27
 _FINGERPRINT_SEED = 20240
+# Cells n * |block| of one block of the fingerprint sum, about 16 B each
+# (an int64 index and a uint64 gather); any n <= 768 with |S| < n fits in one.
+_FINGERPRINT_BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -279,15 +282,24 @@ def _fingerprints(n: int, elements: Sequence[int]) -> np.ndarray:
 
     Multiplying by x^(n/p) - 1 has the adjoint "roll w by -n/p, subtract w",
     so fp[j] = sum over s in S of w'[j*s mod n]: n * |S| work, no rows.
+    The sum runs over blocks of elements of about _FINGERPRINT_BLOCK_CELLS
+    gathered cells each (at least one element); addition mod 2^64 is
+    associative, so the blocks do not change the result.
     """
     weights = np.random.default_rng(_FINGERPRINT_SEED).integers(
         0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True
     )
     for p in factorize(n).primes():
         weights = np.roll(weights, -(n // p)) - weights
-    cols = np.multiply.outer(np.array(elements, dtype=np.int64), np.arange(n))
-    cols %= n
-    return weights[cols].sum(axis=0, dtype=np.uint64)
+    elements = np.array(elements, dtype=np.int64)
+    js = np.arange(n)
+    fp = np.zeros(n, dtype=np.uint64)
+    step = max(1, _FINGERPRINT_BLOCK_CELLS // n)
+    for lo in range(0, len(elements), step):
+        cols = np.multiply.outer(elements[lo:lo + step], js)
+        cols %= n
+        fp += weights[cols].sum(axis=0, dtype=np.uint64)
+    return fp
 
 
 def _annihilated_rows(n: int, elements: Sequence[int], js: Iterable[int]) -> np.ndarray:

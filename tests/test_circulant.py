@@ -1,3 +1,4 @@
+import math
 import random
 from functools import lru_cache
 
@@ -283,6 +284,65 @@ def test_multiplier_action_matches_reference_scans(monkeypatch, block):
         assert all(type(x) is int for x in returned), symbol.encode()
 
 
+def cheapest_class(symbol):
+    """The gcd g whose class {t in S : gcd(t, n) = g} gives the fewest candidates."""
+    n, sizes = symbol.n, {}
+    for t in symbol.elements:
+        g = math.gcd(t, n)
+        sizes[g] = sizes.get(g, 0) + 1
+    return min(sizes, key=lambda g: (sizes[g] * euler_phi(n) // euler_phi(n // g), g))
+
+
+@lru_cache(maxsize=None)
+def pruned_scan_cases():
+    """Random symbols of 1 to 20 pairs {s, n - s} at four composite moduli,
+    and symbols whose cheapest class has g > 1: one pair {g*u, n - g*u}
+    next to 30 unit pairs."""
+    rng = random.Random(47)
+    symbols = []
+    for n in (720, 840, 2310, 30030):
+        for size in (1, 2, 5, 12, 20):
+            pairs = rng.sample(range(1, n // 2 + 1), size)
+            symbols.append(make_connection_set(n, {x for s in pairs for x in (s, n - s)}))
+        unit_pairs = [u for u in units(n) if u < n - u]
+        for g in divisors(n)[1:4]:
+            u = rng.choice(units(n // g)[: len(units(n // g)) // 2 + 1])
+            elems = {g * u, n - g * u}
+            for v in rng.sample(unit_pairs, 30):
+                elems.update((v, n - v))
+            symbol = make_connection_set(n, elems)
+            assert cheapest_class(symbol) == g, symbol.encode()
+            symbols.append(symbol)
+    return [(symbol, reference_fixers(symbol)) for symbol in symbols]
+
+
+def check_pruned_scan():
+    for symbol, fixers in pruned_scan_cases():
+        assert fixing_subgroup(symbol).elements == fixers, symbol.encode()
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_pruned_scan_matches_reference_at_composite_moduli(monkeypatch, small_blocks):
+    if small_blocks:
+        # Blocks of a few lifts, and binary search in place of the table.
+        monkeypatch.setattr(circulant, "_BLOCK_PRODUCTS", 7)
+        monkeypatch.setattr(circulant, "_MAX_MEMBER_TABLE", 0)
+    check_pruned_scan()
+
+
+def test_pruned_scan_misses_fixers_from_the_first_lift_alone(monkeypatch):
+    lifts = circulant._lifts
+
+    def first_lift_only(n, m, residues, lo, hi):
+        k = lifts(n, m, residues, lo, hi)
+        return k[k < m]
+
+    monkeypatch.setattr(circulant, "_lifts", first_lift_only)
+    # -1 = n - 1 is a fixer of every symmetric symbol, but no lift i = 0 when g > 1
+    with pytest.raises(AssertionError, match=r"^720:1,13,21,53,136,198,"):
+        check_pruned_scan()
+
+
 def reference_batch_scan(n, elements):
     """Fixers and least image of one residue set, from multiplier_image alone."""
     symbol = ConnectionSet(n, elements)
@@ -295,8 +355,10 @@ def reference_batch_scan(n, elements):
 def test_batched_scans_match_multiplier_images(monkeypatch, block):
     if block is not None:
         # Blocks of a few units for most symbols, and batches split into
-        # chunks of symbols where |S| * phi(n) is at most 4.
+        # chunks of symbols where |S| * phi(n) is at most 4; the fixer scan
+        # looks residues up by binary search instead of the table.
         monkeypatch.setattr(circulant, "_BLOCK_PRODUCTS", block)
+        monkeypatch.setattr(circulant, "_MAX_MEMBER_TABLE", 0)
     limit = circulant._BLOCK_PRODUCTS
     rng = random.Random(31)
     split_units = split_symbols = False

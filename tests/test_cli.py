@@ -198,6 +198,47 @@ def test_deg_unit_scan_limit_boundary(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "symbol, count",
+    [("12:", 4), ("12:6", 4), ("13:1,12", 2)],
+    ids=["empty", "class", "prime"],
+)
+def test_deg_listed_units_limit_boundary(capsys, monkeypatch, symbol, count):
+    # phi(12) = 4 units for the empty symbol; |S_6| * phi(12)/phi(2) = 4
+    # candidates for {6}; |S| = 2 candidates at prime 13.
+    import circdeg.circulant as circulant_module
+
+    monkeypatch.setattr(circulant_module, "_MAX_LISTED_UNITS", count)
+    code, out, _ = run(capsys, "deg", symbol)
+    assert code == EXIT_OK and f"fix-order {count}" in out
+    monkeypatch.setattr(circulant_module, "_MAX_LISTED_UNITS", count - 1)
+    code, out, err = run(capsys, "deg", symbol)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"would list {count} candidate units, over the limit of {count - 1}" in err
+
+
+def test_deg_at_large_moduli_never_lists_the_units(capsys, monkeypatch):
+    import circdeg.circulant as circulant_module
+
+    units = circulant_module.units
+
+    def small_units_only(n):
+        if n > 10**6:
+            raise AssertionError(f"listed the units mod {n}")
+        return units(n)
+
+    monkeypatch.setattr(circulant_module, "units", small_units_only)
+    code, out, _ = run(capsys, "deg", "1000000007:1,3,1000000004,1000000006")
+    assert code == EXIT_OK
+    assert "degree 500000003" in out and "fix-order 2" in out
+    code, out, _ = run(capsys, "deg", "10000019:1,10000018")
+    assert code == EXIT_OK and "degree 5000009" in out
+    # 2 * (10^9 + 7): the one class g = 2, whose lifts 10^9 + 6 and 10^9 + 8 are not units
+    code, out, _ = run(capsys, "deg", "2000000014:2,2000000012")
+    assert code == EXIT_OK and "degree 500000003" in out and "fix-order 2" in out
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("integral", "100000000000000000000"),

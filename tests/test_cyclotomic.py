@@ -368,6 +368,20 @@ def test_fingerprints_project_the_exact_rows():
         assert np.array_equal(_fingerprints(n, symbol.elements), expected), symbol
 
 
+def test_fingerprint_blocks_change_nothing(monkeypatch):
+    # The uint64 sum wraps mod 2^64, so summing one element per block gives
+    # bit-identical fingerprints and the same degrees ...
+    symbols = [*random_symbols(60, 2, 400, seed=43), make_connection_set(12, set())]
+    whole = [(_fingerprints(s.n, s.elements), splitting_field_degree(s)) for s in symbols]
+    monkeypatch.setattr(cyclotomic_module, "_FINGERPRINT_BLOCK_CELLS", 1)
+    for symbol, (fp, degree) in zip(symbols, whole):
+        assert np.array_equal(_fingerprints(symbol.n, symbol.elements), fp), symbol
+        assert splitting_field_degree(symbol) == degree, symbol
+    # ... and the default block holds any symbol with n <= 768 whole.
+    monkeypatch.undo()
+    assert 768 * 767 <= cyclotomic_module._FINGERPRINT_BLOCK_CELLS
+
+
 def test_oracle_confirms_fingerprint_candidates_exactly(monkeypatch):
     # With blind fingerprints every unit is a candidate; the exact rows
     # alone must then decide the fixers ...

@@ -96,7 +96,9 @@ def _referenced_names(obj) -> set[str]:
 def test_independent_routes_share_no_code():
     # The eigenvalue oracle must never see the fixing-subgroup route ...
     oracle = _referenced_names(cyclotomic) | set(vars(cyclotomic))
-    assert not oracle & {"fixing_subgroup", "algebraic_degree", "_multiplier_rows"}
+    assert not oracle & {
+        "fixing_subgroup", "algebraic_degree", "_multiplier_rows", "_fixers"
+    }
     # ... and integral enumeration must never see the Mobius closed form.
     brute = _referenced_names(integral.count_connected_integral_bruteforce)
     assert not brute & {"mobius", "count_connected_integral"}
@@ -112,6 +114,7 @@ def test_sweep_calls_neither_public_degree_route():
         "splitting_field_degree",
         "eigenvalue_matrix",
         "_multiplier_rows",
+        "_fixers",
     }
 
 
