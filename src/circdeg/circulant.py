@@ -31,7 +31,8 @@ from .unitgroup import (
 _MAX_SCAN_MODULUS = 3_037_000_499  # (n-1)^2 < 2^63: unit products are exact in int64
 _BLOCK_PRODUCTS = 1 << 20  # products m*s per block of a scan (at least one row or candidate)
 _MAX_LISTED_UNITS = 1 << 24  # candidate units one fixer scan may list
-_MAX_MEMBER_TABLE = 1 << 24  # cells of a boolean membership table
+_TABLE_CELLS_PER_LOOKUP = 512  # most cells a membership table may fill per lookup
+_MAX_MEMBER_TABLE = 1 << 24  # bytes: twice a block of int64 products
 
 
 @dataclass(frozen=True)
@@ -131,14 +132,21 @@ def _check_listed(count: int) -> None:
         )
 
 
-def _membership(values: np.ndarray, bound: int):
+def _membership(values: np.ndarray, bound: int, lookups: int):
     """x -> x in values, elementwise, for int64 arrays x with entries in
-    [0, bound); values sorted, distinct and below bound.
+    [0, bound) and about `lookups` entries in all; values sorted, distinct
+    and below bound.
 
-    A boolean table up to _MAX_MEMBER_TABLE cells, past that a binary search
-    of the values.
+    A boolean table of bound cells when that is at most
+    _TABLE_CELLS_PER_LOOKUP cells per lookup and at most _MAX_MEMBER_TABLE
+    cells in all, else a binary search of the values.  The second limit
+    bounds memory: at most twice the peak of the products looked up per
+    block.  On a 2-vCPU Xeon a binary-search lookup costs 55-120 ns, a
+    table lookup 1-15 ns (more as the table outgrows the caches) and a
+    table cell under 0.1 ns to fill; the two break even between 256 and
+    1024 cells per lookup.
     """
-    if bound <= _MAX_MEMBER_TABLE:
+    if bound <= min(_TABLE_CELLS_PER_LOOKUP * lookups, _MAX_MEMBER_TABLE):
         table = np.zeros(bound, dtype=bool)
         table[values] = True
         return table.__getitem__
@@ -160,7 +168,7 @@ def _class_fixers(n: int, elements: list[int]) -> tuple[int, ...]:
     inverse = pow(members[0] // g, -1, m)
     residues = np.array([t // g * inverse % m for t in members], dtype=np.int64)
     symbol = np.array(elements, dtype=np.int64)
-    contains = _membership(symbol, n)
+    contains = _membership(symbol, n, count * len(symbol))
     lifts = len(residues) * g
     step = max(1, _BLOCK_PRODUCTS // len(symbol))
     found = []
@@ -195,7 +203,7 @@ def _prime_fixers(p: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
     candidates = symbols * inverse[:, None] % p
     # row i is looked up among the residues i*p + S_i
     offsets = np.arange(0, count * p, p, dtype=np.int64)[:, None]
-    contains = _membership(symbols + offsets, count * p)
+    contains = _membership(symbols + offsets, count * p, count * width * width)
     hits = np.empty(candidates.shape, dtype=bool)
     step = max(1, _BLOCK_PRODUCTS // width)  # candidates per block
     rows = max(1, step // width)

@@ -384,6 +384,33 @@ def test_batched_scans_match_multiplier_images(monkeypatch, block):
         assert split_units and split_symbols
 
 
+def test_prime_batch_listing_limit_boundary(monkeypatch):
+    # each row of a batch at prime 13 lists its |S| = 2 candidates
+    symbols = np.array([[1, 12], [5, 8]], dtype=np.int64)
+    monkeypatch.setattr(circulant, "_MAX_LISTED_UNITS", 2)
+    assert circulant._fixers(13, symbols) == [(1, 12), (1, 12)]
+    monkeypatch.setattr(circulant, "_MAX_LISTED_UNITS", 1)
+    with pytest.raises(ValueError, match="would list 2 candidate units, over the limit of 1"):
+        circulant._fixers(13, symbols)
+
+
+def test_membership_fills_a_table_only_where_the_lookups_pay_for_it(monkeypatch):
+    values = np.array([1, 5, 9], dtype=np.int64)
+    x = np.array([[0, 1, 5], [9, 10, 11]], dtype=np.int64)
+    expected = [[False, True, True], [True, False, False]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("took the other membership path")
+
+    limit = circulant._TABLE_CELLS_PER_LOOKUP * x.size
+    cases = [(limit, limit, "searchsorted"), (limit + 1, limit + 1, "zeros"), (limit, limit - 1, "zeros")]
+    for bound, largest_table, other_path in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(circulant, "_MAX_MEMBER_TABLE", largest_table)
+            patch.setattr(np, other_path, refuse)
+            assert circulant._membership(values, bound, x.size)(x).tolist() == expected
+
+
 def test_lex_min_matches_python_min():
     rng = np.random.default_rng(5)
     extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max])
