@@ -22,7 +22,6 @@ import numpy as np
 from .circulant import (
     ConnectionSet,
     _fixers,
-    _lex_min,
     algebraic_degree,
     coset_union,
     fixing_subgroup,
@@ -50,6 +49,7 @@ from .unitgroup import (
 )
 
 DEFAULT_ENUMERATION_LIMIT = 14
+_MAX_CENSUS_PRODUCTS = 1 << 28  # most fixer-scan lookups one census batch may need, B * L^2
 NAIVE_ORDER_LIMIT = 12
 
 
@@ -182,6 +182,31 @@ def _orbit_representatives(d: int) -> tuple[np.ndarray, np.ndarray]:
     return masks[least], aperiodic[least]
 
 
+def _census_work(p: int, d: int) -> int:
+    """The most products the fixer scan of prime_census(p, d) can look up in
+    one batch: B * L^2 for the B orbit representatives of one size m, each
+    a union of L = m * (p-1)/d residues with L candidates."""
+    order = (p - 1) // d
+    return max(rotation_orbit_count(d, m) * (m * order) ** 2 for m in range(1, d))
+
+
+def _coset_weights(cosets: np.ndarray) -> np.ndarray:
+    """Weights 2^(d-1), ..., 2, 1 of the d cosets (the rows of `cosets`),
+    taken in order of their least residues: the key of a coset union, the
+    sum of its cosets' weights, is larger exactly when its sorted residue
+    tuple is smaller, among unions of one size (see prime_census)."""
+    d = len(cosets)
+    weight = np.empty(d, dtype=np.int64)
+    weight[np.argsort(cosets.min(axis=1))] = 1 << np.arange(d - 1, -1, -1)
+    return weight
+
+
+def _least_rotation(keys: np.ndarray) -> np.ndarray:
+    """For each row of (B, d) keys of a union's d rotations, the rotation
+    with the least sorted residue tuple: the one with the largest key."""
+    return keys.argmax(axis=1)
+
+
 def prime_census(p: int, d: int) -> CensusRecord:
     """Exact census of degree-d circulant graphs of odd prime order p.
 
@@ -191,13 +216,28 @@ def prime_census(p: int, d: int) -> CensusRecord:
     one size, so each size is one int64 batch of residue sets, and one
     batched fixer scan computes every fixing subgroup directly on residues.
     A union must be fixed by exactly H iff its mask is aperiodic, and always
-    when its coset count is coprime to d.  Multiplying by r^i rotates coset
-    indices by i, so a kept union's multiplier images are its d coset
-    rotations, and its canonical witness is the least of them; `verify full`
-    re-checks the example witnesses with canonical_form.  The orbit count is
-    cross-checked against the closed-form count of aperiodic subsets, which
-    is also what larger d returns on its own (without witnesses, which
-    would be astronomically many).
+    when its coset count is coprime to d.  The orbit count is cross-checked
+    against the closed-form count of aperiodic subsets, which is also what
+    larger d returns on its own (without witnesses, which would be
+    astronomically many).  Before H is built, the largest batch's B * L^2
+    products (_census_work) must be at most _MAX_CENSUS_PRODUCTS.
+
+    Multiplying by r^i rotates coset indices by i, so a kept union's
+    multiplier images are its d coset rotations, and its canonical witness
+    is the one with the least sorted residue tuple.  That rotation is read
+    off coset bits, without sorting the d rotations.  For equal-size sets
+    A != B, sorted(A) < sorted(B) iff min(A ^ B) lies in A: below that
+    residue the two tuples agree, and there A has it while B's next element
+    is larger.  At prime p a residue lies in a union iff its coset does.
+    Order the cosets by first appearance among the residues 1, 2, ..., p-1,
+    that is by their least residues.  Then min(A ^ B) is the least residue
+    of the first coset in that order that one union holds and the other
+    does not, so A < B iff A's coset bits, read in that order as a binary
+    number (its key, from _coset_weights), are larger.  The least rotation
+    is the one with the largest key (_least_rotation).  Within one size,
+    ascending witness tuples are descending keys, so witnesses are ordered
+    by (size, -key) and each is sorted once.  `verify full` re-checks the
+    example witnesses with canonical_form, which works on residues.
     """
     _validate_prime_census_args(p, d)
     formula_total = aperiodic_subset_count(d)
@@ -206,6 +246,12 @@ def prime_census(p: int, d: int) -> CensusRecord:
     formula_count = formula_total // d
     if d > DEFAULT_ENUMERATION_LIMIT:
         return CensusRecord(p, d, "exact", formula_count, (), "aperiodic-subset-formula")
+    work = _census_work(p, d)
+    if work > _MAX_CENSUS_PRODUCTS:
+        raise ValueError(
+            f"census ({p}, {d}) would look up {work} products in one batch "
+            f"(subgroup order {(p - 1) // d}), over the limit of {_MAX_CENSUS_PRODUCTS}"
+        )
 
     subgroup, reps = _prime_cosets(p, d)
     # row i: the residues of the coset reps[i] * H
@@ -215,31 +261,35 @@ def prime_census(p: int, d: int) -> CensusRecord:
     masks, aperiodic = _orbit_representatives(d)
     bits = (masks[:, None] >> np.arange(d)) & 1
     sizes = bits.sum(axis=1)
+    weight = _coset_weights(cosets)
+    shifts = np.arange(d)[:, None]
     witnesses: list[ConnectionSet] = []
     for size in range(1, d):
         group = sizes == size
         _, indices = np.nonzero(bits[group])
-        symbols = np.sort(cosets[indices].reshape(group.sum(), -1), axis=1)
+        indices = indices.reshape(-1, size)
+        symbols = np.sort(cosets[indices].reshape(len(indices), -1), axis=1)
         keeps = np.array([f == subgroup.elements for f in _fixers(p, symbols)])
-        for mask, keep, free in zip(masks[group].tolist(), keeps, aperiodic[group]):
-            if keep != free:
-                raise ConstructionError(
-                    f"coset model mismatch at p={p}, d={d}, mask={mask:b}"
-                )
-            if math.gcd(size, d) == 1 and not keep:  # pragma: no cover
-                raise AssertionError(
-                    f"coprime-size subset not fixed exactly by H at p={p}, d={d}"
-                )
+        wrong = np.flatnonzero(keeps != aperiodic[group])
+        if wrong.size:
+            mask = int(masks[group][wrong[0]])
+            raise ConstructionError(f"coset model mismatch at p={p}, d={d}, mask={mask:b}")
+        if math.gcd(size, d) == 1 and not keeps.all():  # pragma: no cover
+            raise AssertionError(
+                f"coprime-size subset not fixed exactly by H at p={p}, d={d}"
+            )
         # the d coset rotations of each kept union: all its multiplier images
-        kept = indices.reshape(-1, size)[keeps, None, :]
-        rotated = cosets[(kept + np.arange(d)[:, None]) % d]
-        rotated = np.sort(rotated.reshape(len(kept), d, size * len(subgroup)), axis=2)
-        witnesses += [ConnectionSet(p, tuple(w)) for w in _lex_min(rotated).tolist()]
+        kept = indices[keeps]
+        keys = weight[(kept[:, None, :] + shifts) % d].sum(axis=2)
+        chosen = _least_rotation(keys)
+        ranked = np.argsort(-keys[np.arange(len(kept)), chosen])
+        rotated = (kept[ranked] + chosen[ranked, None]) % d
+        least = np.sort(cosets[rotated].reshape(len(kept), -1), axis=1)
+        witnesses += [ConnectionSet(p, tuple(w)) for w in least.tolist()]
     if len(witnesses) != formula_count:
         raise AssertionError(
             f"enumerated {len(witnesses)} orbits but formula gives {formula_count}"
         )
-    witnesses.sort(key=lambda s: (s.valency(), s.elements))
     return CensusRecord(
         p, d, "exact", len(witnesses), tuple(witnesses), "coset-orbit-enumeration"
     )

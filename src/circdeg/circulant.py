@@ -31,6 +31,7 @@ from .unitgroup import (
 _MAX_SCAN_MODULUS = 3_037_000_499  # (n-1)^2 < 2^63: unit products are exact in int64
 _BLOCK_PRODUCTS = 1 << 20  # products m*s per block of a scan (at least one row or candidate)
 _MAX_LISTED_UNITS = 1 << 24  # candidate units one fixer scan may list
+_MIN_ROUND_PRODUCTS = 1 << 12  # products a confirmation round takes at least, if there are that many
 _TABLE_CELLS_PER_LOOKUP = 512  # most cells a membership table may fill per lookup
 _MAX_MEMBER_TABLE = 1 << 24  # bytes: twice a block of int64 products
 
@@ -48,7 +49,7 @@ class ConnectionSet:
 
     def encode(self) -> str:
         """Text form `n:s1,s2,...` with ascending residues."""
-        return f"{self.n}:" + ",".join(str(s) for s in self.elements)
+        return f"{self.n}:" + ",".join(map(str, self.elements))
 
     def valency(self) -> int:
         return len(self.elements)
@@ -167,14 +168,14 @@ def _class_fixers(n: int, elements: list[int]) -> tuple[int, ...]:
     m = n // g
     inverse = pow(members[0] // g, -1, m)
     residues = np.array([t // g * inverse % m for t in members], dtype=np.int64)
-    symbol = np.array(elements, dtype=np.int64)
-    contains = _membership(symbol, n, count * len(symbol))
+    symbol = np.array([elements], dtype=np.int64)
+    contains = _membership(symbol[0], n, _expected_lookups(count, symbol))
+    pivot = elements.index(members[0])
     lifts = len(residues) * g
-    step = max(1, _BLOCK_PRODUCTS // len(symbol))
     found = []
-    for lo in range(0, lifts, step):
-        k = _lifts(n, m, residues, lo, min(lo + step, lifts))
-        found.append(k[contains(np.multiply.outer(k, symbol) % n).all(axis=1)])
+    for lo in range(0, lifts, _BLOCK_PRODUCTS):
+        k = _lifts(n, m, residues, lo, min(lo + _BLOCK_PRODUCTS, lifts))
+        found.append(k[_confirmed(n, symbol, k, pivot, contains)])
     fixers = np.concatenate(found)
     fixers.sort()
     return tuple(fixers.tolist())
@@ -190,6 +191,63 @@ def _lifts(n: int, m: int, residues: np.ndarray, lo: int, hi: int) -> np.ndarray
     return k[np.gcd(k, n) == 1]
 
 
+def _expected_lookups(candidates: int, symbols: np.ndarray) -> int:
+    """About how many lookups _confirmed makes: a non-fixer fails within a
+    few columns, and the fixers +-1 of each symbol see every column."""
+    return min(symbols.shape[1], 3) * candidates + 2 * symbols.size
+
+
+def _confirmed(
+    n: int,
+    symbols: np.ndarray,
+    k: np.ndarray,
+    pivot: int,
+    contains,
+    row: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The positions, ascending, of the candidates k[i] that map the sorted
+    row S = symbols[row[i]] into itself (row 0 for all when row is None);
+    column `pivot` of S is looked up last.  `contains` is the _membership
+    of row r's residues, shifted by r*n when row is given.
+
+    Early rejection: each round looks up a block of the next columns of S
+    for the candidates that passed every earlier round, and drops those with
+    a product k*s outside S.  Blocks grow fourfold from one column, and a
+    round takes at least _MIN_ROUND_PRODUCTS products (a round's fixed cost
+    is about that many), in steps of at most _BLOCK_PRODUCTS products (at
+    least one candidate).  A non-fixer usually fails within a few columns,
+    so the work is about (|Fix| + 3) * |S| products per symbol, not |S|^2.
+    Products are laid out column by candidate, so numpy loops run along the
+    candidates.
+    """
+    width = symbols.shape[1]
+    # the columns of S as rows, the pivot's last
+    ordered = np.concatenate((symbols[:, pivot + 1:].T, symbols[:, :pivot + 1].T))
+    index = np.arange(len(k))
+    lo, size = 0, 1
+    while lo < width and index.size:
+        size = max(size, -(-_MIN_ROUND_PRODUCTS // index.size))
+        block = ordered[lo:lo + size]
+        step = max(1, _BLOCK_PRODUCTS // len(block))
+        ok = np.empty(index.size, dtype=bool)
+        for start in range(0, index.size, step):
+            part = slice(start, start + step)
+            if row is None:
+                images = block * k[part]
+                images %= n
+            else:
+                images = block[:, row[part]] * k[part]
+                images %= n
+                images += row[part] * n
+            ok[part] = contains(images).all(axis=0)
+        index, k = index[ok], k[ok]
+        if row is not None:
+            row = row[ok]
+        lo += size
+        size *= 4
+    return index
+
+
 def _prime_fixers(p: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
     """The fixers of (B, L) nonempty symbols at prime p, all at once.
 
@@ -203,16 +261,13 @@ def _prime_fixers(p: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
     candidates = symbols * inverse[:, None] % p
     # row i is looked up among the residues i*p + S_i
     offsets = np.arange(0, count * p, p, dtype=np.int64)[:, None]
-    contains = _membership(symbols + offsets, count * p, count * width * width)
-    hits = np.empty(candidates.shape, dtype=bool)
-    step = max(1, _BLOCK_PRODUCTS // width)  # candidates per block
-    rows = max(1, step // width)
-    for lo in range(0, count, rows):
-        for j in range(0, width, step):
-            images = candidates[lo:lo + rows, j:j + step, None] * symbols[lo:lo + rows, None, :]
-            images %= p
-            images += offsets[lo:lo + rows, :, None]
-            hits[lo:lo + rows, j:j + step] = contains(images).all(axis=2)
+    contains = _membership(
+        (symbols + offsets).ravel(), count * p, _expected_lookups(candidates.size, symbols)
+    )
+    row = np.repeat(np.arange(count), width)
+    hits = np.zeros(count * width, dtype=bool)
+    hits[_confirmed(p, symbols, candidates.ravel(), 0, contains, row)] = True
+    hits = hits.reshape(count, width)
     fixers = np.sort(np.where(hits, candidates, p), axis=1).tolist()
     return [tuple(f[:c]) for f, c in zip(fixers, hits.sum(axis=1).tolist())]
 
@@ -226,14 +281,18 @@ def _fixers(n: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
     S_g = {t in S : gcd(t, n) = g}.  That fixes k mod n/g to one of |S_g|
     residues, (t/g) * (s0/g)^-1 mod n/g, and the candidates are the lifts of
     those residues to [0, n) that are units mod n: |S_g| * phi(n)/phi(n/g)
-    of them.  The class with the fewest is taken.  Each candidate is
-    confirmed by looking up all of k*S in S; k is a unit, so k*S inside S
-    means k*S = S.  Confirmation runs in blocks of _BLOCK_PRODUCTS products
-    k*s (at least one candidate).  Nothing lists the units of n except the
-    empty symbol, and no scan lists more than _MAX_LISTED_UNITS candidates:
-    both counts are checked before any work.  Symbols are scanned one at a
-    time, except a batch at prime n, whose rows are one class each and are
-    confirmed together.
+    of them.  The class with the fewest is taken.
+
+    Each candidate is confirmed by early rejection (_confirmed): the columns
+    of S are looked up in growing blocks, and a candidate leaves at its
+    first product k*s outside S.  This is exact both ways.  A kept k has had
+    every k*s looked up in S, and k is a unit, so k*S inside S means
+    k*S = S.  A rejected k failed a lookup, so k*S is not inside S and k
+    fixes nothing.  Nothing lists the units of n except the empty symbol,
+    and no scan lists more than _MAX_LISTED_UNITS candidates: both counts
+    are checked before any work.  Symbols are scanned one at a time, except
+    a batch at prime n, whose rows are one class each and are confirmed
+    together.
     """
     if n > _MAX_SCAN_MODULUS:
         raise ValueError(f"modulus {n} exceeds the unit-scan limit {_MAX_SCAN_MODULUS}")
@@ -263,13 +322,24 @@ def _lex_min(rows: np.ndarray) -> np.ndarray:
     return rows[np.arange(len(rows)), alive.argmax(axis=1)]
 
 
+_last_scan: Optional[tuple[ConnectionSet, Subgroup]] = None
+
+
 def fixing_subgroup(symbol: ConnectionSet) -> Subgroup:
     """All units k with k*S = S setwise; the whole unit group for empty S.
 
     Raises ValueError, before any work, past the scan's limits on the
-    modulus and on the candidates listed.
+    modulus and on the candidates listed.  The last result is kept for the
+    same symbol object, so asking twice about one parsed symbol (its degree
+    and its fixing subgroup) scans once; any other object, even an equal
+    one, is scanned afresh.
     """
-    return Subgroup(symbol.n, _fixers(symbol.n, _symbol_rows(symbol))[0])
+    global _last_scan
+    last = _last_scan  # read once: another thread may replace it
+    if last is None or last[0] is not symbol:
+        last = (symbol, Subgroup(symbol.n, _fixers(symbol.n, _symbol_rows(symbol))[0]))
+        _last_scan = last
+    return last[1]
 
 
 def algebraic_degree(symbol: ConnectionSet) -> int:

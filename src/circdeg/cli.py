@@ -59,7 +59,8 @@ class ResultEnvelope:
     timestamp: int
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+        # the fields as they are: dataclasses.asdict would deep-copy every value
+        return json.dumps(vars(self), sort_keys=True)
 
     @staticmethod
     def from_json(line: str) -> "ResultEnvelope":
@@ -148,7 +149,8 @@ def table_csv(rows: Iterable[TableRow]) -> str:
 def cmd_deg(args) -> int:
     symbol = parse_connection_set(args.symbol)
     # The fixer scan refuses moduli over its int64 limit, and scans listing
-    # too many candidate units, before any work.
+    # too many candidate units, before any work.  It runs once: the second
+    # call finds the result fixing_subgroup kept for this symbol object.
     degree = algebraic_degree(symbol)
     fix_order = len(fixing_subgroup(symbol))
     connected = is_connected(symbol)
@@ -185,8 +187,9 @@ def cmd_deg(args) -> int:
 
 def cmd_table(args) -> int:
     rows = degree_table(args.d_max)
+    row_dicts = [_row_dict(r) for r in rows]
     if args.format == "json":
-        print(json.dumps([_row_dict(r) for r in rows], indent=2, sort_keys=True))
+        print(json.dumps(row_dicts, indent=2, sort_keys=True))
     else:
         sys.stdout.write(table_csv(rows))
     status = EXIT_OK
@@ -205,7 +208,7 @@ def cmd_table(args) -> int:
         args,
         "table",
         {"d_max": args.d_max, "format": args.format, "check": args.check},
-        {"rows": [_row_dict(r) for r in rows], "check_passed": status == EXIT_OK},
+        {"rows": row_dicts, "check_passed": status == EXIT_OK},
     )
     return status
 

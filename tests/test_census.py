@@ -1,6 +1,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from circdeg import census, verify
@@ -28,7 +29,7 @@ from circdeg.circulant import (
     multiplier_isomorphic,
 )
 from circdeg.integral import count_connected_integral
-from circdeg.numtheory import divisors, euler_phi
+from circdeg.numtheory import divisors, euler_phi, is_prime
 from circdeg.unitgroup import (
     ConstructionError,
     primitive_root,
@@ -164,12 +165,55 @@ def test_prime_census_witness_properties():
 
 def test_non_canonical_witnesses_are_caught(monkeypatch):
     # the first rotation is the orbit's least mask, not its least residue set
-    monkeypatch.setattr(census, "_lex_min", lambda rows: rows[:, 0])
+    monkeypatch.setattr(census, "_least_rotation", lambda keys: np.zeros(len(keys), dtype=int))
     result = verify.check_example_census(11, 5)
     assert not result.passed
     assert "is not canonical" in result.detail
     with pytest.raises(AssertionError):
         test_prime_census_witness_properties()
+
+
+@pytest.mark.parametrize("p, d", [(11, 5), (13, 3), (29, 14), (53, 13), (73, 12)])
+def test_coset_keys_order_unions_as_their_sorted_residues(p, d):
+    # min(A ^ B) in A iff sorted(A) < sorted(B), for every pair of unions
+    # of one size: sorted by residues, their keys strictly decrease
+    subgroup, reps = census._prime_cosets(p, d)
+    cosets = np.multiply.outer(np.array(reps), np.array(subgroup.elements)) % p
+    weight = census._coset_weights(cosets)
+    by_size = {}
+    for mask in range(1, 2**d - 1):
+        held = [i for i in range(d) if mask >> i & 1]
+        union = tuple(sorted(cosets[held].ravel().tolist()))
+        by_size.setdefault(len(held), []).append((union, int(weight[held].sum())))
+    for unions in by_size.values():
+        keys = [key for _, key in sorted(unions)]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+
+
+def test_prime_census_work_limit_boundary(monkeypatch):
+    # (11, 5): |H| = 2, and the largest batch is the 2 orbits of three
+    # cosets, 2 * 6^2 = 72 products
+    assert census._census_work(11, 5) == 72
+    monkeypatch.setattr(census, "_MAX_CENSUS_PRODUCTS", 72)
+    assert prime_census(11, 5).value == 6
+    monkeypatch.setattr(census, "_MAX_CENSUS_PRODUCTS", 71)
+    with pytest.raises(ValueError, match=r"would look up 72 products .* over the limit of 71$"):
+        prime_census(11, 5)
+    # the formula path builds nothing, so no limit applies
+    monkeypatch.setattr(census, "_MAX_CENSUS_PRODUCTS", 0)
+    assert prime_census(31, 15).method == "aperiodic-subset-formula"
+
+
+def test_benchmark_censuses_stay_far_below_the_work_limit():
+    work = [
+        census._census_work(p, d)
+        for p in range(5, 74, 2)
+        if is_prime(p)
+        for d in range(2, census.DEFAULT_ENUMERATION_LIMIT + 1)
+        if (p - 1) // 2 % d == 0
+    ]
+    assert len(work) == 44
+    assert max(work) * 1000 < census._MAX_CENSUS_PRODUCTS
 
 
 def test_prime_census_catches_a_wrong_fixing_subgroup(monkeypatch):

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -382,6 +384,87 @@ def test_batched_scans_match_multiplier_images(monkeypatch, block):
             assert sorted(covered) == [(i, k) for i in range(len(batch)) for k in units(n)]
     if block is not None:
         assert split_units and split_symbols
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_early_rejection_matches_reference_fixers(monkeypatch, block):
+    # Rounds of 1, 4, 16, ... columns; with block 5, every round that has
+    # more than 5 products is split into steps of at most 5 products, or of
+    # one candidate.
+    monkeypatch.setattr(circulant, "_MIN_ROUND_PRODUCTS", 1)
+    if block is not None:
+        monkeypatch.setattr(circulant, "_BLOCK_PRODUCTS", block)
+    steps = []
+    membership = circulant._membership
+
+    def recorded(values, bound, lookups):
+        contains = membership(values, bound, lookups)
+
+        def looked_up(images):
+            steps.append(images.shape)
+            return contains(images)
+
+        return looked_up
+
+    monkeypatch.setattr(circulant, "_membership", recorded)
+    rng = random.Random(53)
+    # batches of equal-size random symbols at primes (one batched scan each)
+    for p in (61, 97, 257):
+        for pairs in (1, 3, 12):
+            batch = []
+            for _ in range(6):
+                half = rng.sample(range(1, (p + 1) // 2), pairs)
+                batch.append(tuple(sorted(x for s in half for x in (s, p - s))))
+            first = len(steps)
+            got = circulant._fixers(p, np.array(batch, dtype=np.int64))
+            assert got == [reference_fixers(ConnectionSet(p, row)) for row in batch], p
+            width = 2 * pairs
+            if pairs == 12:  # far fewer lookups than all |S|^2 products per symbol
+                assert sum(c * k for c, k in steps[first:]) < len(batch) * width * width / 2
+    # single random symbols at composite moduli
+    for n in (91, 720, 1001, 2310):
+        for _ in range(5):
+            symbol = random_symbol(rng, n)
+            rows = np.array([symbol.elements], dtype=np.int64)
+            assert circulant._fixers(n, rows) == [reference_fixers(symbol)], symbol.encode()
+    if block is not None:
+        assert all(c * k <= block or k == 1 for c, k in steps)
+        assert sum(c * k for c, k in steps) > 10 * block
+
+
+def test_kept_scan_is_per_symbol_object_across_threads():
+    # each thread asks twice about its own symbol (the second answer comes
+    # from the kept scan, when no other thread replaced it in between)
+    symbols = [make_connection_set(13, {1, 12}), make_connection_set(13, {1, 3, 4, 9, 10, 12}),
+               make_connection_set(12, {6}), make_connection_set(16, {4, 12})]
+    expected = [fixing_subgroup(s).elements for s in symbols]
+    errors = []
+
+    def ask(symbol, fixers):
+        for _ in range(300):
+            for _ in range(2):
+                got = fixing_subgroup(symbol).elements
+                if got != fixers:
+                    errors.append((symbol.encode(), got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=ask, args=(s, f)) for s, f in zip(symbols, expected)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    # an equal symbol that is another object is scanned afresh
+    assert fixing_subgroup(make_connection_set(13, {1, 12})) is not fixing_subgroup(
+        make_connection_set(13, {1, 12})
+    )
 
 
 def test_prime_batch_listing_limit_boundary(monkeypatch):

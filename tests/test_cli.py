@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import time
@@ -215,6 +216,56 @@ def test_deg_listed_units_limit_boundary(capsys, monkeypatch, symbol, count):
     assert code == EXIT_USAGE
     assert out == ""
     assert f"would list {count} candidate units, over the limit of {count - 1}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["13:1,12"], ["12:"], ["720:1,13,707,719", "--oracle"], ["91:1,13,78,90"]],
+    ids=["prime", "empty", "oracle", "composite"],
+)
+def test_deg_runs_one_fixer_scan(capsys, monkeypatch, argv):
+    import circdeg.circulant as circulant_module
+
+    scan = circulant_module._fixers
+    calls = []
+
+    def counted(n, symbols):
+        calls.append(n)
+        return scan(n, symbols)
+
+    monkeypatch.setattr(circulant_module, "_fixers", counted)
+    for _ in range(2):  # the same text again is a new symbol, scanned afresh
+        before = len(calls)
+        code, out, _ = run(capsys, "deg", *argv)
+        assert code == EXIT_OK and "fix-order" in out
+        assert len(calls) == before + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["census", "29", "14", "--witnesses"], ["table", "20", "--format", "json", "--check"]],
+    ids=["census", "table"],
+)
+def test_envelope_json_is_the_asdict_dump(capsys, monkeypatch, tmp_path, argv):
+    import circdeg.cli as cli_module
+
+    envelopes = []
+    monkeypatch.setattr(cli_module, "append_cache", lambda path, env: envelopes.append(env))
+    code, _, _ = run(capsys, "--cache", str(tmp_path / "c.jsonl"), *argv)
+    assert code == EXIT_OK and len(envelopes) == 1
+    env = envelopes[0]
+    assert env.to_json() == json.dumps(dataclasses.asdict(env), sort_keys=True)
+
+
+def test_census_over_the_work_limit_exits_2_at_once(capsys):
+    # |H| = (p - 1)/2 = 5 * 10^8: the one batch would look up |H|^2 products
+    start = time.perf_counter()
+    code, out, err = run(capsys, "census", "1000000009", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"would look up {500000004**2} products" in err
+    assert "over the limit of 268435456" in err
 
 
 def test_deg_at_large_moduli_never_lists_the_units(capsys, monkeypatch):
