@@ -265,9 +265,8 @@ def _prime_fixers(p: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
         (symbols + offsets).ravel(), count * p, _expected_lookups(candidates.size, symbols)
     )
     row = np.repeat(np.arange(count), width)
-    hits = np.zeros(count * width, dtype=bool)
-    hits[_confirmed(p, symbols, candidates.ravel(), 0, contains, row)] = True
-    hits = hits.reshape(count, width)
+    hits = np.zeros(candidates.shape, dtype=bool)
+    hits.flat[_confirmed(p, symbols, candidates.ravel(), 0, contains, row)] = True
     fixers = np.sort(np.where(hits, candidates, p), axis=1).tolist()
     return [tuple(f[:c]) for f, c in zip(fixers, hits.sum(axis=1).tolist())]
 
