@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -164,12 +165,14 @@ def _validate_prime_census_args(p: int, d: int) -> None:
         raise ValueError(f"{d} does not divide ({p}-1)/2")
 
 
+@lru_cache(maxsize=DEFAULT_ENUMERATION_LIMIT)
 def _orbit_representatives(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The least mask of each rotation orbit of nonempty proper subsets of Z_d,
     ascending, and whether its orbit has all d members (trivial stabilizer).
 
     A mask is the least of its orbit iff no rotation of it is smaller, and
-    aperiodic iff no rotation but the identity fixes it.
+    aperiodic iff no rotation but the identity fixes it.  It depends on d
+    alone, so it is kept, in read-only arrays that no caller can change.
     """
     full = (1 << d) - 1
     masks = np.arange(1, full, dtype=np.int64)
@@ -179,7 +182,10 @@ def _orbit_representatives(d: int) -> tuple[np.ndarray, np.ndarray]:
         rotated = ((masks << shift) | (masks >> (d - shift))) & full
         least &= rotated >= masks
         aperiodic &= rotated != masks
-    return masks[least], aperiodic[least]
+    masks, aperiodic = masks[least], aperiodic[least]
+    masks.setflags(write=False)
+    aperiodic.setflags(write=False)
+    return masks, aperiodic
 
 
 def _census_work(p: int, d: int) -> int:

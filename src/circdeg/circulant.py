@@ -4,18 +4,18 @@ A circulant graph on n vertices joins i and j when (i - j) mod n lies in an
 inverse-symmetric set S of nonzero residues.  The units fixing S setwise form
 a subgroup whose index in the full unit group is the degree over Q of the
 splitting field of the graph's characteristic polynomial.  This module
-computes that fixing subgroup by a pruned scan, which tests only the few
-units that can map one gcd class of S into itself (see _fixers), and builds
-the two explicit constructions that realize any prescribed degree: the
-subgroup construction on an arbitrary admissible order, and the power
-construction on the smallest prime 1 mod 2d.
+finds the units that fix S, or map it onto a set or to its least image,
+among the few that can map one gcd class of S onto its image (see _mappers),
+and builds the two explicit constructions that realize any prescribed
+degree: the subgroup construction on an arbitrary admissible order, and the
+power construction on the smallest prime 1 mod 2d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -98,34 +98,10 @@ def parse_connection_set(text: str) -> ConnectionSet:
     return make_connection_set(n, elems)
 
 
-def _multiplier_rows(n: int, symbols: np.ndarray):
-    """Yield (lo, m, rows) over blocks of the sorted int64 (B, L) symbols and of
-    ascending units m: rows[i, j] = sorted m[j]*symbols[lo+i] mod n.
-
-    A block holds at most _BLOCK_PRODUCTS products m*s (at least one row):
-    whole unit groups for several symbols at a time, or one symbol and a
-    block of its units.
-    """
+def _check_listed(n: int, count: int) -> None:
+    """Refuse a scan past _MAX_SCAN_MODULUS or _MAX_LISTED_UNITS candidates."""
     if n > _MAX_SCAN_MODULUS:
         raise ValueError(f"modulus {n} exceeds the unit-scan limit {_MAX_SCAN_MODULUS}")
-    unit_list = units(n)
-    width = max(1, symbols.shape[1])
-    step = max(1, _BLOCK_PRODUCTS // width)
-    chunk = max(1, _BLOCK_PRODUCTS // (width * len(unit_list)))
-    for lo in range(0, len(symbols), chunk):
-        block = symbols[lo:lo + chunk, None, :]
-        for start in range(0, len(unit_list), step):
-            m = np.array(unit_list[start:start + step], dtype=np.int64)
-            yield lo, m, np.sort(block * m[:, None] % n, axis=2)
-
-
-def _symbol_rows(symbol: ConnectionSet) -> np.ndarray:
-    """The symbol as a (1, |S|) int64 batch of the scans below."""
-    return np.array([symbol.elements], dtype=np.int64)
-
-
-def _check_listed(count: int) -> None:
-    """Refuse a scan that would list more than _MAX_LISTED_UNITS candidates."""
     if count > _MAX_LISTED_UNITS:
         raise ValueError(
             f"fixer scan would list {count} candidate units, over the limit of "
@@ -155,30 +131,45 @@ def _membership(values: np.ndarray, bound: int, lookups: int):
     return lambda x: ends[np.searchsorted(ends, x)] == x
 
 
-def _class_fixers(n: int, elements: list[int]) -> tuple[int, ...]:
-    """The fixers of one nonempty symbol, from its cheapest gcd class."""
+def _mappers(n: int, source: Sequence[int], target: Sequence[int]) -> tuple[int, ...]:
+    """The ascending units k with k*source = target setwise, for nonempty
+    sorted residue sets of one size; target is source for the fixers.
+
+    A pruned scan.  Take a pivot s0 in source and g = gcd(s0, n).  A unit k
+    permutes each gcd class, so it maps s0 into T_g = {t in target :
+    gcd(t, n) = g}, and there is none unless |T_g| = |S_g|.  That fixes k
+    mod n/g to one of the residues (t/g) * (s0/g)^-1, and the candidates are
+    their lifts to [0, n) that are units: |S_g| * phi(n)/phi(n/g) of them,
+    from the class of source with the fewest.  Early rejection (_confirmed)
+    is exact both ways: a kept k is a unit with every k*s looked up in
+    target, so k*source = target, and a rejected k failed a lookup.
+    """
     classes: dict[int, list[int]] = {}
-    for t in elements:
-        classes.setdefault(math.gcd(t, n), []).append(t)
+    for s in source:
+        classes.setdefault(math.gcd(s, n), []).append(s)
     count, g, members = min(
         (len(ts) * (euler_phi(n) // euler_phi(n // g) if g > 1 else 1), g, ts)
         for g, ts in classes.items()
     )
-    _check_listed(count)
+    _check_listed(n, count)
+    images = members if target is source else [t for t in target if math.gcd(t, n) == g]
+    if len(images) != len(members):
+        return ()
     m = n // g
     inverse = pow(members[0] // g, -1, m)
-    residues = np.array([t // g * inverse % m for t in members], dtype=np.int64)
-    symbol = np.array([elements], dtype=np.int64)
-    contains = _membership(symbol[0], n, _expected_lookups(count, symbol))
-    pivot = elements.index(members[0])
+    residues = np.array([t // g * inverse % m for t in images], dtype=np.int64)
+    symbol = np.array([source], dtype=np.int64)
+    goal = symbol[0] if target is source else np.array(target, dtype=np.int64)
+    contains = _membership(goal, n, _expected_lookups(count, symbol))
+    pivot = source.index(members[0])
     lifts = len(residues) * g
     found = []
     for lo in range(0, lifts, _BLOCK_PRODUCTS):
         k = _lifts(n, m, residues, lo, min(lo + _BLOCK_PRODUCTS, lifts))
         found.append(k[_confirmed(n, symbol, k, pivot, contains)])
-    fixers = np.concatenate(found)
-    fixers.sort()
-    return tuple(fixers.tolist())
+    mappers = np.concatenate(found)
+    mappers.sort()
+    return tuple(mappers.tolist())
 
 
 def _lifts(n: int, m: int, residues: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -206,19 +197,19 @@ def _confirmed(
     row: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The positions, ascending, of the candidates k[i] that map the sorted
-    row S = symbols[row[i]] into itself (row 0 for all when row is None);
+    row S = symbols[row[i]] into a target (row 0 for all when row is None);
     column `pivot` of S is looked up last.  `contains` is the _membership
-    of row r's residues, shifted by r*n when row is given.
+    of the target's residues: row r's own, shifted by r*n, when row is given.
 
     Early rejection: each round looks up a block of the next columns of S
     for the candidates that passed every earlier round, and drops those with
-    a product k*s outside S.  Blocks grow fourfold from one column, and a
-    round takes at least _MIN_ROUND_PRODUCTS products (a round's fixed cost
-    is about that many), in steps of at most _BLOCK_PRODUCTS products (at
-    least one candidate).  A non-fixer usually fails within a few columns,
-    so the work is about (|Fix| + 3) * |S| products per symbol, not |S|^2.
-    Products are laid out column by candidate, so numpy loops run along the
-    candidates.
+    a product k*s outside the target.  Blocks grow fourfold from one column,
+    and a round takes at least _MIN_ROUND_PRODUCTS products (a round's fixed
+    cost is about that many), in steps of at most _BLOCK_PRODUCTS products
+    (at least one candidate).  A non-fixer usually fails within a few
+    columns, so the work is about (|Fix| + 3) * |S| products per symbol, not
+    |S|^2.  Products are laid out column by candidate, so numpy loops run
+    along the candidates.
     """
     width = symbols.shape[1]
     # the columns of S as rows, the pivot's last
@@ -256,7 +247,7 @@ def _prime_fixers(p: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
     but the fixers found.
     """
     count, width = symbols.shape
-    _check_listed(width)
+    _check_listed(p, width)
     inverse = np.array([pow(s, -1, p) for s in symbols[:, 0].tolist()], dtype=np.int64)
     candidates = symbols * inverse[:, None] % p
     # row i is looked up among the residues i*p + S_i
@@ -273,34 +264,17 @@ def _prime_fixers(p: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
 
 def _fixers(n: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
     """For each sorted int64 row S of the (B, L) symbols, the ascending units
-    k with k*S = S setwise; all units for L = 0.
-
-    A pruned scan.  Take a pivot s0 in S and g = gcd(s0, n).  A unit k keeps
-    gcd(k*s, n) = gcd(s, n), so every fixer maps s0 into the class
-    S_g = {t in S : gcd(t, n) = g}.  That fixes k mod n/g to one of |S_g|
-    residues, (t/g) * (s0/g)^-1 mod n/g, and the candidates are the lifts of
-    those residues to [0, n) that are units mod n: |S_g| * phi(n)/phi(n/g)
-    of them.  The class with the fewest is taken.
-
-    Each candidate is confirmed by early rejection (_confirmed): the columns
-    of S are looked up in growing blocks, and a candidate leaves at its
-    first product k*s outside S.  This is exact both ways.  A kept k has had
-    every k*s looked up in S, and k is a unit, so k*S inside S means
-    k*S = S.  A rejected k failed a lookup, so k*S is not inside S and k
-    fixes nothing.  Nothing lists the units of n except the empty symbol,
-    and no scan lists more than _MAX_LISTED_UNITS candidates: both counts
-    are checked before any work.  Symbols are scanned one at a time, except
-    a batch at prime n, whose rows are one class each and are confirmed
-    together.
+    k with k*S = S setwise: its mappers onto itself (_mappers), except for
+    L = 0, where they are all the units, and for a batch at prime n, whose
+    rows are one class each and are confirmed together.  Both limits are
+    checked before any work.
     """
-    if n > _MAX_SCAN_MODULUS:
-        raise ValueError(f"modulus {n} exceeds the unit-scan limit {_MAX_SCAN_MODULUS}")
     if not symbols.shape[1]:
-        _check_listed(euler_phi(n))
+        _check_listed(n, euler_phi(n))
         return [units(n)] * len(symbols)
     if len(symbols) > 1 and is_prime(n):
         return _prime_fixers(n, symbols)
-    return [_class_fixers(n, row) for row in symbols.tolist()]
+    return [_mappers(n, row, row) for row in symbols.tolist()]
 
 
 def _lex_min(rows: np.ndarray) -> np.ndarray:
@@ -336,7 +310,8 @@ def fixing_subgroup(symbol: ConnectionSet) -> Subgroup:
     global _last_scan
     last = _last_scan  # read once: another thread may replace it
     if last is None or last[0] is not symbol:
-        last = (symbol, Subgroup(symbol.n, _fixers(symbol.n, _symbol_rows(symbol))[0]))
+        symbols = np.array([symbol.elements], dtype=np.int64)
+        last = (symbol, Subgroup(symbol.n, _fixers(symbol.n, symbols)[0]))
         _last_scan = last
     return last[1]
 
@@ -392,29 +367,47 @@ def least_multiplier_image(symbol: ConnectionSet) -> ConnectionSet:
 
     Multiplier-equivalent symbols share it; at prime order it is therefore
     a canonical form for isomorphism.
+
+    Let g be the least gcd(s, n) over S.  A residue of gcd h is a multiple
+    of h and units keep gcds, so no image has an element below g, and the
+    unit lifts of (s/g)^-1 mod n/g map s in S_g = {s in S : gcd(s, n) = g}
+    to g.  So the least image starts with g, and only those |S_g| *
+    phi(n)/phi(n/g) units are tried, in blocks of at most _BLOCK_PRODUCTS
+    products.  Raises ValueError, before any work, past the scan's limits.
     """
-    images = _multiplier_rows(symbol.n, _symbol_rows(symbol))
-    least = min(tuple(_lex_min(rows)[0].tolist()) for _, _, rows in images)
-    return ConnectionSet(symbol.n, least)
+    n, elements = symbol.n, symbol.elements
+    if not elements:
+        _check_listed(n, 0)
+        return symbol
+    g = min(math.gcd(s, n) for s in elements)
+    members = [s for s in elements if math.gcd(s, n) == g]
+    m = n // g
+    _check_listed(n, len(members) * (euler_phi(n) // euler_phi(m) if g > 1 else 1))
+    residues = np.array([pow(s // g, -1, m) for s in members], dtype=np.int64)
+    row = np.array(elements, dtype=np.int64)
+    lifts, step = len(residues) * g, max(1, _BLOCK_PRODUCTS // len(elements))
+    blocks = (_lifts(n, m, residues, lo, min(lo + step, lifts)) for lo in range(0, lifts, step))
+    best = [_lex_min(np.sort(k[:, None] * row % n, axis=1)[None])[0] for k in blocks if k.size]
+    return ConnectionSet(n, tuple(_lex_min(np.array(best)[None])[0].tolist()))
 
 
-def multiplier_isomorphic(
-    first: ConnectionSet, second: ConnectionSet
-) -> Optional[int]:
+def multiplier_isomorphic(first: ConnectionSet, second: ConnectionSet) -> Optional[int]:
     """Smallest unit m with first = m * second, or None if there is none.
 
     A returned m certifies isomorphism of the graphs.  None certifies
     non-isomorphism only when gcd(n, phi(n)) = 1 (in particular for prime n).
+    The candidates are those of one gcd class of `second` (see _mappers).
+    Raises ValueError, before any work, past the scan's limits.
     """
     if first.n != second.n:
         raise ValueError(f"moduli differ: {first.n} vs {second.n}")
     if len(first.elements) != len(second.elements):
         return None
-    for _, m, rows in _multiplier_rows(second.n, _symbol_rows(second)):
-        hits = m[(rows[0] == first.elements).all(axis=1)]
-        if hits.size:
-            return int(hits[0])
-    return None
+    if not second.elements:
+        _check_listed(first.n, 0)
+        return 1 % first.n
+    mappers = _mappers(first.n, second.elements, first.elements)
+    return mappers[0] if mappers else None
 
 
 def minimal_prime_construction(d: int) -> tuple[int, ConnectionSet]:

@@ -34,7 +34,6 @@ import numpy as np
 
 from .circulant import ConnectionSet
 from .numtheory import divisors, euler_phi, factorize
-from .unitgroup import units
 
 # The int64 power table is exact by construction: _power_matrix rejects any
 # n whose cyclotomic polynomial has a coefficient of size _PHI_COEFF_BOUND or
@@ -349,7 +348,7 @@ def splitting_field_degree(symbol: ConnectionSet) -> int:
             f"n * max(|S|, 2 tau(n)) = {work}, over the limit of {_MAX_ORACLE_WORK}"
         )
     fp = _fingerprints(n, elements)
-    unit = np.array(units(n), dtype=np.int64)
+    unit = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
     candidates = unit[(fp[np.multiply.outer(unit, divs) % n] == fp[divs]).all(axis=1)]
     span = {1 % n}
     for k in candidates.tolist():

@@ -51,7 +51,7 @@ class Subgroup:
         return len(self.elements)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # bounded; `verify full`, its widest user, asks for 48 moduli
 def units(n: int) -> tuple[int, ...]:
     """All residues in [0, n) coprime to n, ascending; (0,) for n = 1."""
     if n < 1:

@@ -437,3 +437,16 @@ def test_sandwich_small():
             mid = prime_census(p, d).value
             high = prime_order_upper_bound(d)
             assert low <= mid <= high
+
+
+def test_orbit_representatives_are_shared_and_read_only():
+    census._orbit_representatives.cache_clear()
+    prime_census(29, 7)
+    kept = census._orbit_representatives(7)
+    prime_census(43, 7)
+    info = census._orbit_representatives.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert all(a is b for a, b in zip(kept, census._orbit_representatives(7)))
+    for array in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[-1]

@@ -199,7 +199,7 @@ def test_regular_construction_rejects_bad_degree():
 
 
 # Reference scans: one Python set or sorted tuple per unit, sharing no code
-# with the numpy blocks of circulant._multiplier_rows.
+# with the pruned candidate sets of circulant._mappers and _lifts.
 def reference_fixers(symbol):
     n, s_set = symbol.n, set(symbol.elements)
     return tuple(k for k in units(n) if {k * s % n for s in s_set} == s_set)
@@ -356,14 +356,11 @@ def reference_batch_scan(n, elements):
 @pytest.mark.parametrize("block", [None, 8])
 def test_batched_scans_match_multiplier_images(monkeypatch, block):
     if block is not None:
-        # Blocks of a few units for most symbols, and batches split into
-        # chunks of symbols where |S| * phi(n) is at most 4; the fixer scan
-        # looks residues up by binary search instead of the table.
+        # Blocks of a few candidates for most symbols; the fixer scan looks
+        # residues up by binary search instead of the table.
         monkeypatch.setattr(circulant, "_BLOCK_PRODUCTS", block)
         monkeypatch.setattr(circulant, "_MAX_MEMBER_TABLE", 0)
-    limit = circulant._BLOCK_PRODUCTS
     rng = random.Random(31)
-    split_units = split_symbols = False
     for n in (1, 2, 3, 5, 12, 29, 30, 60, 73, 91):
         for size in sorted({0, min(1, n - 1), min(2, n - 1), rng.randint(0, n - 1), n - 1}):
             batch = [
@@ -375,15 +372,6 @@ def test_batched_scans_match_multiplier_images(monkeypatch, block):
             assert circulant._fixers(n, symbols) == [f for f, _ in reference]
             least = [least_multiplier_image(ConnectionSet(n, row)) for row in batch]
             assert [image.elements for image in least] == [m for _, m in reference]
-            covered = []
-            for lo, m, rows in circulant._multiplier_rows(n, symbols):
-                assert rows.size <= max(limit, size), (n, size)
-                covered += [(i, k) for i in range(lo, lo + len(rows)) for k in m.tolist()]
-                split_units |= len(m) < len(units(n))
-                split_symbols |= 1 < len(rows) < len(batch)
-            assert sorted(covered) == [(i, k) for i in range(len(batch)) for k in units(n)]
-    if block is not None:
-        assert split_units and split_symbols
 
 
 @pytest.mark.parametrize("block", [None, 5])
@@ -475,6 +463,57 @@ def test_prime_batch_listing_limit_boundary(monkeypatch):
     monkeypatch.setattr(circulant, "_MAX_LISTED_UNITS", 1)
     with pytest.raises(ValueError, match="would list 2 candidate units, over the limit of 1"):
         circulant._fixers(13, symbols)
+
+
+def test_multiplier_questions_list_no_units_at_large_moduli(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"listed the units mod {n}")
+
+    monkeypatch.setattr(circulant, "units", refuse)
+    cases = [
+        # prime n; the candidates of the least image are 1, 3, -3, -1 inverted,
+        # and +-1/3 = +-666669 give images whose second element is 333334
+        ("1000003:1,3,1000000,1000002", 17),
+        # composite n with g_min = 1: class 1 is {1, -1}, so +-1 are the candidates
+        ("720720:1,6,13,720707,720714,720719", 17),
+        # n = 2(10^9 + 7) and the one class g = 2: mappers onto 3S are 3 and -3
+        ("2000000014:2,2000000012", 3),
+    ]
+    for text, m in cases:
+        symbol = parse_connection_set(text)
+        assert least_multiplier_image(symbol) == symbol, text
+        assert multiplier_isomorphic(multiplier_image(symbol, m), symbol) == m, text
+        assert multiplier_isomorphic(symbol, symbol) == 1, text
+    # 1/2 and 1/5 = 600002 send {2, 5, -5, -2} to {1, 499999, 500004, -1}
+    # and {1, 200001, 800002, -1}; -1/2 and -1/5 = 400001 give the same sets
+    other = parse_connection_set("1000003:2,5,999998,1000001")
+    assert least_multiplier_image(other).elements == (1, 200001, 800002, 1000002)
+    assert multiplier_isomorphic(least_multiplier_image(other), other) == 400001
+
+
+@pytest.mark.parametrize("text, count", [("13:1,12", 2), ("12:6", 4)], ids=["prime", "class"])
+def test_multiplier_question_limit_boundaries(monkeypatch, text, count):
+    # both questions list |S_g| * phi(n)/phi(n/g) candidates: the 2 units of
+    # {1, 12} at 13, and the 4 unit lifts of class 6 of {6} at 12
+    symbol = parse_connection_set(text)
+    questions = (
+        lambda: least_multiplier_image(symbol),
+        lambda: multiplier_isomorphic(symbol, symbol),
+    )
+    n = symbol.n
+    listed = f"would list {count} candidate units, over the limit of {count - 1}"
+    limits = [
+        ("_MAX_LISTED_UNITS", count, listed),
+        ("_MAX_SCAN_MODULUS", n, f"modulus {n} exceeds the unit-scan limit {n - 1}"),
+    ]
+    for name, limit, message in limits:
+        with monkeypatch.context() as patch:
+            patch.setattr(circulant, name, limit)
+            assert [ask() for ask in questions] == [symbol, 1]
+            patch.setattr(circulant, name, limit - 1)
+            for ask in questions:
+                with pytest.raises(ValueError, match=message):
+                    ask()
 
 
 def test_membership_fills_a_table_only_where_the_lookups_pay_for_it(monkeypatch):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import circdeg.cyclotomic as cyclotomic_module
-from circdeg.circulant import algebraic_degree, make_connection_set
+import circdeg.unitgroup as unitgroup_module
+from circdeg.circulant import algebraic_degree, make_connection_set, parse_connection_set
 from circdeg.cyclotomic import (
     CyclotomicInt,
     IntPolynomial,
@@ -413,3 +414,14 @@ def test_degree_one_iff_all_eigenvalues_integral():
         )
         assert all_integral == (algebraic_degree(symbol) == 1)
         checked += 1
+
+
+def test_oracle_lists_no_units_at_large_moduli(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"listed the units mod {n}")
+
+    monkeypatch.setattr(unitgroup_module, "units", refuse)
+    monkeypatch.setattr(cyclotomic_module, "units", refuse, raising=False)
+    symbol = parse_connection_set("1000003:1,3,1000000,1000002")
+    # fixed by +-1 only: degree (p - 1)/2
+    assert splitting_field_degree(symbol) == algebraic_degree(symbol) == 500001

@@ -97,7 +97,7 @@ def test_independent_routes_share_no_code():
     # The eigenvalue oracle must never see the fixing-subgroup route ...
     oracle = _referenced_names(cyclotomic) | set(vars(cyclotomic))
     assert not oracle & {
-        "fixing_subgroup", "algebraic_degree", "_multiplier_rows", "_fixers"
+        "fixing_subgroup", "algebraic_degree", "_mappers", "_lifts", "_fixers"
     }
     # ... and integral enumeration must never see the Mobius closed form.
     brute = _referenced_names(integral.count_connected_integral_bruteforce)
@@ -113,7 +113,8 @@ def test_sweep_calls_neither_public_degree_route():
         "algebraic_degree",
         "splitting_field_degree",
         "eigenvalue_matrix",
-        "_multiplier_rows",
+        "_mappers",
+        "_lifts",
         "_fixers",
     }
 
