@@ -278,21 +278,20 @@ def _fixers(n: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
 
 
 def _lex_min(rows: np.ndarray) -> np.ndarray:
-    """The lexicographically least of the M rows of each (M, L) slab of an
-    int64 (B, M, L) array: (B, L).
+    """The lexicographically least row of an int64 (M, L) array: (L,).
 
     Column elimination: keep the rows that attain each column's minimum
-    among those still kept, until one row per slab is left or the columns
-    run out (the rows left are then equal).
+    among those still kept, until one row is left or the columns run out
+    (the rows left are then equal).
     """
-    alive = np.ones(rows.shape[:2], dtype=bool)
+    alive = np.ones(len(rows), dtype=bool)
     top = np.iinfo(np.int64).max
-    for column in np.moveaxis(rows, 2, 0):
+    for column in rows.T:
         column = np.where(alive, column, top)
-        alive &= column == column.min(axis=1, keepdims=True)
-        if alive.sum() == len(alive):
+        alive &= column == column.min()
+        if alive.sum() == 1:
             break
-    return rows[np.arange(len(rows)), alive.argmax(axis=1)]
+    return rows[alive.argmax()]
 
 
 _last_scan: Optional[tuple[ConnectionSet, Subgroup]] = None
@@ -387,8 +386,8 @@ def least_multiplier_image(symbol: ConnectionSet) -> ConnectionSet:
     row = np.array(elements, dtype=np.int64)
     lifts, step = len(residues) * g, max(1, _BLOCK_PRODUCTS // len(elements))
     blocks = (_lifts(n, m, residues, lo, min(lo + step, lifts)) for lo in range(0, lifts, step))
-    best = [_lex_min(np.sort(k[:, None] * row % n, axis=1)[None])[0] for k in blocks if k.size]
-    return ConnectionSet(n, tuple(_lex_min(np.array(best)[None])[0].tolist()))
+    best = [_lex_min(np.sort(k[:, None] * row % n, axis=1)) for k in blocks if k.size]
+    return ConnectionSet(n, tuple(_lex_min(np.array(best)).tolist()))
 
 
 def multiplier_isomorphic(first: ConnectionSet, second: ConnectionSet) -> Optional[int]:

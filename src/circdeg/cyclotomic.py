@@ -20,7 +20,9 @@ histograms H_j * g_n and H_j' * g_n are, and each costs one cyclic
 roll-and-subtract per prime p | n.  The oracle and the exhaustive sweep
 compare 64-bit fingerprints of these histograms, taken through the adjoint
 of g_n without building them, and build exact rows only for the few
-indices j they must confirm.
+indices j they must confirm.  Since S = -S, fingerprint n - j equals
+fingerprint j and each inverse pair {s, n - s} is gathered once, so about
+a quarter of the n * |S| cells are read.
 """
 
 from __future__ import annotations
@@ -52,8 +54,11 @@ _MAX_TABLE_CELLS = 1 << 27
 # a symbol past this many cells of either before any work.
 _MAX_ORACLE_WORK = 1 << 27
 _FINGERPRINT_SEED = 20240
-# Cells n * |block| of one block of the fingerprint sum, about 16 B each
-# (an int64 index and a uint64 gather); any n <= 768 with |S| < n fits in one.
+# Fingerprint weights for n up to this many come from one kept 32 KB stream.
+_FINGERPRINT_STREAM = 4096
+# Folded cells (n//2 + 1) * |block| of one block of the fingerprint sum, a
+# block being elements s < n - s; about 16 B each (an int64 index and a
+# uint64 gather).  Any n <= 768 with |S| < n fits in one.
 _FINGERPRINT_BLOCK_CELLS = 1 << 22
 
 
@@ -276,29 +281,77 @@ def eigenvalue_matrix(symbol: ConnectionSet) -> np.ndarray:
     return out
 
 
+def _draw_weights(n: int) -> np.ndarray:
+    return np.random.default_rng(_FINGERPRINT_SEED).integers(
+        0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True
+    )
+
+
+@lru_cache(maxsize=None)
+def _weight_stream() -> np.ndarray:
+    stream = _draw_weights(_FINGERPRINT_STREAM)
+    stream.flags.writeable = False
+    return stream
+
+
+def _weights(n: int) -> np.ndarray:
+    """The first n uint64 draws of the fingerprint seed's stream, w.
+
+    Full-range draws take one raw output each, so these are a prefix of one
+    stream: n <= _FINGERPRINT_STREAM slices a read-only stream drawn on
+    first use, never at import, which keeps numpy.random out of
+    `import circdeg`; larger n draw their own.
+    """
+    return _weight_stream()[:n] if n <= _FINGERPRINT_STREAM else _draw_weights(n)
+
+
 def _fingerprints(n: int, elements: Sequence[int]) -> np.ndarray:
     """fp[j] = <H_j * g_n, w> mod 2^64 for every j, w a fixed random vector.
 
     Multiplying by x^(n/p) - 1 has the adjoint "roll w by -n/p, subtract w",
-    so fp[j] = sum over s in S of w'[j*s mod n]: n * |S| work, no rows.
-    The sum runs over blocks of elements of about _FINGERPRINT_BLOCK_CELLS
-    gathered cells each (at least one element); addition mod 2^64 is
-    associative, so the blocks do not change the result.
+    so fp[j] = sum over s in S of w'[j*s mod n], with no rows built.  Two
+    identities of S = -S cut that n * |S| gather to about n * |S| / 4 cells:
+
+    - mirror: fp[n - j] = sum of w'[-j*s] = sum of w'[j*(-s)] = fp[j], so
+      only j = 0..n//2 are gathered and the rest are copied;
+    - pairs: with folded weights u[x] = w'[x] + w'[-x mod n], fp[j] is the
+      sum of u[j*s mod n] over the s in S with s < n - s, plus w'[j*n/2]
+      once when n/2 is in S.  In the sorted S these are the first |S|//2
+      elements and, for odd |S|, the middle one.
+
+    Raises ValueError unless elements are ascending and inverse-symmetric
+    mod n, which both identities need.  The sum runs over blocks of paired
+    elements of about _FINGERPRINT_BLOCK_CELLS gathered cells each (at least
+    one element).  Addition mod 2^64 is commutative and associative, so
+    neither the folding nor the blocks change the result.
     """
-    weights = np.random.default_rng(_FINGERPRINT_SEED).integers(
-        0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True
-    )
-    for p in factorize(n).primes():
-        weights = np.roll(weights, -(n // p)) - weights
     elements = np.array(elements, dtype=np.int64)
-    js = np.arange(n)
-    fp = np.zeros(n, dtype=np.uint64)
-    step = max(1, _FINGERPRINT_BLOCK_CELLS // n)
-    for lo in range(0, len(elements), step):
-        cols = np.multiply.outer(elements[lo:lo + step], js)
+    mirror = (n - elements[::-1]) % n
+    if not np.array_equal(mirror, elements) or (elements[1:] <= elements[:-1]).any():
+        lacking = elements[~np.isin(mirror[::-1], elements)]
+        if lacking.size:
+            raise ValueError(
+                f"elements mod {n} are not inverse-symmetric: {lacking[0]} is "
+                f"present but {(n - lacking[0]) % n} is not"
+            )
+        raise ValueError(f"elements mod {n} are not distinct ascending residues")
+    weights = _weights(n)
+    for p in factorize(n).primes():
+        weights = np.concatenate([weights[n // p :], weights[: n // p]]) - weights
+    half = n // 2 + 1
+    js = np.arange(half)
+    pairs = elements[: len(elements) // 2]
+    if len(elements) % 2:
+        fp = weights[js * elements[len(elements) // 2] % n]
+    else:
+        fp = np.zeros(half, dtype=np.uint64)
+    folded = weights + np.concatenate([weights[:1], weights[:0:-1]])
+    step = max(1, _FINGERPRINT_BLOCK_CELLS // half)
+    for lo in range(0, len(pairs), step):
+        cols = np.multiply.outer(pairs[lo : lo + step], js)
         cols %= n
-        fp += weights[cols].sum(axis=0, dtype=np.uint64)
-    return fp
+        fp += folded[cols].sum(axis=0, dtype=np.uint64)
+    return np.concatenate([fp, fp[1 : (n + 1) // 2][::-1]])
 
 
 def _annihilated_rows(n: int, elements: Sequence[int], js: Iterable[int]) -> np.ndarray:
@@ -313,7 +366,7 @@ def _annihilated_rows(n: int, elements: Sequence[int], js: Iterable[int]) -> np.
     rows = np.bincount(cells.ravel(), minlength=len(js) * n).reshape(len(js), n)
     for p in factorize(n).primes():
         # times x^(n/p) - 1: coefficient e becomes H[e - n/p] - H[e]
-        rows = np.roll(rows, n // p, axis=1) - rows
+        rows = np.concatenate([rows[:, n - n // p :], rows[:, : n - n // p]], axis=1) - rows
     return rows
 
 

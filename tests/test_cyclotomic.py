@@ -1,6 +1,10 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,6 +385,95 @@ def test_fingerprint_blocks_change_nothing(monkeypatch):
     # ... and the default block holds any symbol with n <= 768 whole.
     monkeypatch.undo()
     assert 768 * 767 <= cyclotomic_module._FINGERPRINT_BLOCK_CELLS
+
+
+def _seed_weights(n):
+    return np.random.default_rng(cyclotomic_module._FINGERPRINT_SEED).integers(
+        0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True
+    )
+
+
+def _plain_fingerprints(n, elements):
+    """The unfolded gather: sum of w'[j*s mod n] over every s, for every j."""
+    weights = _seed_weights(n)
+    for p in factorize(n).primes():
+        weights = np.roll(weights, -(n // p)) - weights
+    cols = np.multiply.outer(np.array(elements, dtype=np.int64), np.arange(n)) % n
+    return weights[cols].sum(axis=0, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("block_cells", [None, 1], ids=["default-block", "block-1"])
+def test_folded_fingerprints_equal_the_plain_gather(monkeypatch, block_cells):
+    if block_cells is not None:
+        monkeypatch.setattr(cyclotomic_module, "_FINGERPRINT_BLOCK_CELLS", block_cells)
+    # every symbol with n <= 12 (n = 1..4, odd n, even n with and without
+    # n/2 in S), then random ones up to n = 768
+    symbols = [*_symmetric_symbols(12), *random_symbols(120, 2, 768, seed=47)]
+    assert {s.n for s in symbols} >= {1, 2, 3, 4}
+    for symbol in symbols:
+        n, elements = symbol.n, symbol.elements
+        expected = _plain_fingerprints(n, elements)
+        assert np.array_equal(_fingerprints(n, elements), expected), symbol
+
+
+def test_fingerprints_refuse_elements_the_fold_cannot_use(monkeypatch):
+    def no_work(n):
+        raise AssertionError("fingerprint work started before the check")
+
+    monkeypatch.setattr(cyclotomic_module, "_weights", no_work)
+    # 2 is in S but its inverse 10 is not: the fold would pair 1 with 11
+    # and drop 2
+    with pytest.raises(ValueError, match="mod 12 .* 2 is present but 10 is not"):
+        _fingerprints(12, [1, 2, 11])
+    for elements in ([11, 1], [1, 1, 11, 11], [0, 1, 11], [1, 11, 13]):
+        with pytest.raises(ValueError, match="mod 12 are not distinct ascending"):
+            _fingerprints(12, elements)
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+def test_fingerprint_weights_are_a_prefix_of_the_seed_stream(n):
+    weights = cyclotomic_module._weights(n)
+    assert np.array_equal(weights, _seed_weights(n))
+    if n <= cyclotomic_module._FINGERPRINT_STREAM:
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 0
+    assert cyclotomic_module._FINGERPRINT_STREAM == 4096
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # The weight stream is drawn on first use, so importing the package
+    # does not pay for numpy.random.
+    code = "import sys, circdeg; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cyclotomic_module.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
+def _rolled_rows(n, elements, js):
+    """H_j * g_n by one counted exponent at a time and np.roll per prime."""
+    rows = np.zeros((len(js), n), dtype=np.int64)
+    for i, j in enumerate(js):
+        for s in elements:
+            rows[i, j * s % n] += 1
+    for p in factorize(n).primes():
+        rows = np.roll(rows, n // p, axis=1) - rows
+    return rows
+
+
+def test_annihilated_rows_match_the_rolled_reference():
+    prime_powers = [
+        make_connection_set(n, {1, n - 1, p, n - p})
+        for n, p in ((8, 2), (9, 3), (27, 3), (32, 2), (49, 7), (125, 5))
+    ]
+    symbols = [*_symmetric_symbols(10), *prime_powers, *random_symbols(60, 2, 300, seed=53)]
+    assert make_connection_set(1, set()) in symbols
+    for symbol in symbols:
+        n, elements = symbol.n, symbol.elements
+        js = list(range(n)) + [0, n - 1]
+        expected = _rolled_rows(n, elements, js)
+        assert np.array_equal(_annihilated_rows(n, elements, js), expected), symbol
 
 
 def test_oracle_confirms_fingerprint_candidates_exactly(monkeypatch):
