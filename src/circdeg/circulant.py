@@ -140,9 +140,9 @@ def _mappers(n: int, source: Sequence[int], target: Sequence[int]) -> tuple[int,
     gcd(t, n) = g}, and there is none unless |T_g| = |S_g|.  That fixes k
     mod n/g to one of the residues (t/g) * (s0/g)^-1, and the candidates are
     their lifts to [0, n) that are units: |S_g| * phi(n)/phi(n/g) of them,
-    from the class of source with the fewest.  Early rejection (_confirmed)
-    is exact both ways: a kept k is a unit with every k*s looked up in
-    target, so k*source = target, and a rejected k failed a lookup.
+    from the class of source with the fewest.  Early rejection against target
+    (_confirmed) is exact both ways: a kept k is a unit with every k*s looked
+    up in target, so k*source = target, and a rejected k failed a lookup.
     """
     classes: dict[int, list[int]] = {}
     for s in source:
@@ -159,14 +159,13 @@ def _mappers(n: int, source: Sequence[int], target: Sequence[int]) -> tuple[int,
     inverse = pow(members[0] // g, -1, m)
     residues = np.array([t // g * inverse % m for t in images], dtype=np.int64)
     symbol = np.array([source], dtype=np.int64)
-    goal = symbol[0] if target is source else np.array(target, dtype=np.int64)
-    contains = _membership(goal, n, _expected_lookups(count, symbol))
+    goal = symbol if target is source else np.array([target], dtype=np.int64)
     pivot = source.index(members[0])
     lifts = len(residues) * g
     found = []
     for lo in range(0, lifts, _BLOCK_PRODUCTS):
         k = _lifts(n, m, residues, lo, min(lo + _BLOCK_PRODUCTS, lifts))
-        found.append(k[_confirmed(n, symbol, k, pivot, contains)])
+        found.append(k[_confirmed(n, symbol, goal, k, pivot)])
     mappers = np.concatenate(found)
     mappers.sort()
     return tuple(mappers.tolist())
@@ -182,24 +181,19 @@ def _lifts(n: int, m: int, residues: np.ndarray, lo: int, hi: int) -> np.ndarray
     return k[np.gcd(k, n) == 1]
 
 
-def _expected_lookups(candidates: int, symbols: np.ndarray) -> int:
-    """About how many lookups _confirmed makes: a non-fixer fails within a
-    few columns, and the fixers +-1 of each symbol see every column."""
-    return min(symbols.shape[1], 3) * candidates + 2 * symbols.size
-
-
 def _confirmed(
     n: int,
     symbols: np.ndarray,
+    targets: np.ndarray,
     k: np.ndarray,
     pivot: int,
-    contains,
     row: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The positions, ascending, of the candidates k[i] that map the sorted
-    row S = symbols[row[i]] into a target (row 0 for all when row is None);
-    column `pivot` of S is looked up last.  `contains` is the _membership
-    of the target's residues: row r's own, shifted by r*n, when row is given.
+    row S = symbols[row[i]] into targets[row[i]] (row 0 for all when row is
+    None); column `pivot` of S is looked up last.  One _membership of the
+    targets, row r shifted by r*n when row is given, takes every lookup; it
+    is sized for a few per non-fixer and all |S| for the fixers +-1.
 
     Early rejection: each round looks up a block of the next columns of S
     for the candidates that passed every earlier round, and drops those with
@@ -212,6 +206,12 @@ def _confirmed(
     along the candidates.
     """
     width = symbols.shape[1]
+    lookups = min(width, 3) * len(k) + 2 * symbols.size
+    if row is None:
+        contains = _membership(targets[0], n, lookups)
+    else:
+        offsets = np.arange(0, len(targets) * n, n, dtype=np.int64)[:, None]
+        contains = _membership((targets + offsets).ravel(), len(targets) * n, lookups)
     # the columns of S as rows, the pivot's last
     ordered = np.concatenate((symbols[:, pivot + 1:].T, symbols[:, :pivot + 1].T))
     index = np.arange(len(k))
@@ -250,14 +250,9 @@ def _prime_fixers(p: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
     _check_listed(p, width)
     inverse = np.array([pow(s, -1, p) for s in symbols[:, 0].tolist()], dtype=np.int64)
     candidates = symbols * inverse[:, None] % p
-    # row i is looked up among the residues i*p + S_i
-    offsets = np.arange(0, count * p, p, dtype=np.int64)[:, None]
-    contains = _membership(
-        (symbols + offsets).ravel(), count * p, _expected_lookups(candidates.size, symbols)
-    )
     row = np.repeat(np.arange(count), width)
     hits = np.zeros(candidates.shape, dtype=bool)
-    hits.flat[_confirmed(p, symbols, candidates.ravel(), 0, contains, row)] = True
+    hits.flat[_confirmed(p, symbols, symbols, candidates.ravel(), 0, row)] = True
     fixers = np.sort(np.where(hits, candidates, p), axis=1).tolist()
     return [tuple(f[:c]) for f, c in zip(fixers, hits.sum(axis=1).tolist())]
 
@@ -266,8 +261,8 @@ def _fixers(n: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
     """For each sorted int64 row S of the (B, L) symbols, the ascending units
     k with k*S = S setwise: its mappers onto itself (_mappers), except for
     L = 0, where they are all the units, and for a batch at prime n, whose
-    rows are one class each and are confirmed together.  Both limits are
-    checked before any work.
+    rows are one class each and are confirmed together (_prime_fixers).
+    Both limits are checked before any work; _confirmed chooses the lookups.
     """
     if not symbols.shape[1]:
         _check_listed(n, euler_phi(n))

@@ -16,6 +16,8 @@ from .circulant import ConnectionSet, regular_construction
 from .numtheory import euler_phi, smallest_prime_1_mod_2d
 from .unitgroup import ConstructionError
 
+_MAX_TABLE_DEGREE = 1000  # most rows one table may have; each row builds and checks a witness
+
 
 @dataclass(frozen=True)
 class TableRow:
@@ -72,9 +74,14 @@ def _row(d: int, c: int) -> TableRow:
 
 
 def degree_table(d_max: int) -> tuple[TableRow, ...]:
-    """Rows for d = 1..d_max, each with a verified minimal-order witness."""
+    """Rows for d = 1..d_max, each with a verified minimal-order witness.
+
+    Raises ValueError, before any work, for d_max above _MAX_TABLE_DEGREE.
+    """
     if d_max < 1:
         raise ValueError(f"expected d_max >= 1, got {d_max}")
+    if d_max > _MAX_TABLE_DEGREE:
+        raise ValueError(f"table of {d_max} degrees is over the limit of {_MAX_TABLE_DEGREE}")
     orders = _min_orders(range(1, d_max + 1))
     return tuple(_row(d, orders[d]) for d in range(1, d_max + 1))
 

@@ -163,7 +163,7 @@ def random_symbols(count: int, n_lo: int, n_hi: int, seed: int):
     for i in range(count):
         n = rng.randint(n_lo, n_hi)
         orbits = pair_orbits(n)
-        include_prob = 0.5 if i % 2 == 0 else min(1.0, 4.0 / len(orbits))
+        include_prob = 0.5 if i % 2 == 0 else min(1.0, 4.0 / max(1, len(orbits)))
         elems: set[int] = set()
         for lo, hi in orbits:
             if rng.random() < include_prob:

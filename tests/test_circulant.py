@@ -533,6 +533,27 @@ def test_membership_fills_a_table_only_where_the_lookups_pay_for_it(monkeypatch)
             assert circulant._membership(values, bound, x.size)(x).tolist() == expected
 
 
+def test_fixer_scan_picks_the_lookup_for_its_batch(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("took the other membership path")
+
+    # a lone symbol: 8 lookups expected, far too few for a table of 10^7 cells
+    lone = np.array([[1, 10000018]], dtype=np.int64)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "zeros", refuse)
+        assert circulant._fixers(10000019, lone) == [(1, 10000018)]
+    # a census-sized batch at p = 73: its B*p cells pay for themselves
+    rng = random.Random(73)
+    batch = []
+    for _ in range(40):
+        half = rng.sample(range(1, 37), 12)
+        batch.append(tuple(sorted(x for s in half for x in (s, 73 - s))))
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "searchsorted", refuse)
+        got = circulant._fixers(73, np.array(batch, dtype=np.int64))
+    assert got == [reference_fixers(ConnectionSet(73, row)) for row in batch]
+
+
 def test_lex_min_matches_python_min():
     rng = np.random.default_rng(5)
     extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max])

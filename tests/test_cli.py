@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from circdeg import mintable
 from circdeg.cli import (
     EXIT_DISAGREEMENT,
     EXIT_GOLDEN_MISMATCH,
@@ -97,6 +98,16 @@ def test_table_check_detects_mismatch(capsys, monkeypatch):
 def test_table_usage_error(capsys):
     code, _, _ = run(capsys, "table", "0")
     assert code == EXIT_USAGE
+
+
+def test_table_over_the_degree_limit_exits_2_at_once(capsys):
+    limit = mintable._MAX_TABLE_DEGREE
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", str(limit + 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: table of {limit + 1} degrees is over the limit of {limit}\n"
 
 
 def test_table_output_is_byte_stable(capsys):

@@ -60,6 +60,18 @@ def test_degree_table_small_rows():
         degree_table(0)
 
 
+def test_degree_table_limit_boundary(monkeypatch):
+    monkeypatch.setattr(mintable, "_MAX_TABLE_DEGREE", 5)
+    assert len(degree_table(5)) == 5
+
+    def refuse(degrees):
+        raise AssertionError("scanned past the limit")
+
+    monkeypatch.setattr(mintable, "_min_orders", refuse)
+    with pytest.raises(ValueError, match=r"^table of 6 degrees is over the limit of 5$"):
+        degree_table(6)
+
+
 def test_degree_table_row_27():
     row = degree_table(27)[26]
     assert (row.c_of_d, row.p_d, row.strict) == (81, 109, True)

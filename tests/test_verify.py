@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import circdeg
 from circdeg import cyclotomic, integral, numtheory, verify
@@ -133,6 +134,15 @@ def test_random_symbols_are_deterministic():
         assert 41 <= symbol.n <= 100
 
 
+def test_random_symbols_draw_the_one_vertex_graph():
+    # n = 1 has no pair orbits, so a sparse draw there is the empty symbol
+    symbols = list(verify.random_symbols(400, 1, 768, seed=5))
+    assert len(symbols) == 400
+    single = [i for i, symbol in enumerate(symbols) if symbol.n == 1]
+    assert any(i % 2 for i in single)
+    assert all(symbols[i].elements == () for i in single)
+
+
 def test_fault_injection_is_caught(monkeypatch):
     good = verify.check_arithmetic_identities(200)
     assert good.passed
@@ -190,6 +200,34 @@ def test_cmd_verify_passes_and_caches(monkeypatch, capsys, tmp_path):
     entries = cli.read_cache(path)
     assert entries[0].command == "verify"
     assert entries[0].output["passed"] is True
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_verify_fast_runs_its_checks_through_main(monkeypatch, capsys, broken):
+    from circdeg import cli
+
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    if broken:
+        def injected():
+            verify._require(False, "injected failure")
+
+        monkeypatch.setattr(
+            verify,
+            "check_oracle_equivalence",
+            lambda *args, **kwargs: verify._run("oracle-equivalence", injected),
+        )
+    code = cli.main(["verify", "fast"])
+    lines = capsys.readouterr().out.splitlines()
+    tags = [line.split()[0] for line in lines[:-1]]
+    if broken:
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert tags == ["PASS"] * 4 + ["FAIL"]
+        assert lines[-2].endswith("injected failure")
+        assert lines[-1] == "FAILED: 4/5 checks passed"
+    else:
+        assert code == cli.EXIT_OK
+        assert tags == ["PASS"] * 5
+        assert lines[-1] == "ok: 5/5 checks passed"
 
 
 def test_check_result_helpers():
