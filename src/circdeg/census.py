@@ -32,6 +32,7 @@ from .circulant import (
     pair_orbits,
 )
 from .numtheory import (
+    MAX_INPUT,
     divisors,
     euler_phi,
     is_prime,
@@ -159,6 +160,8 @@ def canonical_form(symbol: ConnectionSet) -> ConnectionSet:
 
 
 def _validate_prime_census_args(p: int, d: int) -> None:
+    if p > MAX_INPUT:
+        raise ValueError(f"input {p} exceeds the supported 63-bit range")
     if not is_prime(p) or p == 2:
         raise ValueError(f"{p} is not an odd prime")
     if d < 2 or ((p - 1) // 2) % d != 0:

@@ -18,11 +18,12 @@ root of unity and at no primitive one (de Bruijn 1953; Lam and Leung, J.
 Algebra 224, 2000).  So eigenvalues j and j' are equal iff the annihilated
 histograms H_j * g_n and H_j' * g_n are, and each costs one cyclic
 roll-and-subtract per prime p | n.  The oracle and the exhaustive sweep
-compare 64-bit fingerprints of these histograms, taken through the adjoint
-of g_n without building them, and build exact rows only for the few
-indices j they must confirm.  Since S = -S, fingerprint n - j equals
-fingerprint j and each inverse pair {s, n - s} is gathered once, so about
-a quarter of the n * |S| cells are read.
+test each unit on one combined difference of 64-bit fingerprints of these
+histograms (_fixer_gaps), taken through the adjoint of g_n without
+building them, and build exact rows only for the few indices j they must
+confirm.  Since S = -S, fingerprint n - j equals fingerprint j and each
+inverse pair {s, n - s} is gathered once, so about a quarter of the
+n * |S| cells are read.
 """
 
 from __future__ import annotations
@@ -370,19 +371,44 @@ def _annihilated_rows(n: int, elements: Sequence[int], js: Iterable[int]) -> np.
     return rows
 
 
+def _fixer_gaps(fp: np.ndarray, units: np.ndarray, divs: np.ndarray) -> np.ndarray:
+    """One combined fingerprint difference per unit: the eigenvalue-fixer test.
+
+    fp[..., j] holds the fingerprints of annihilated rows j = 0..n-1 (one
+    row of them per symbol), units ascend, so units[0] is 1 mod n, and divs
+    are the divisors of n mod n.  For k = units[i],
+
+        delta[..., i] = sum over g in divs of c_g * (fp[..., k*g] - fp[..., g])
+
+    mod 2^64, computed as the key sum of c_g * fp[..., k*g] less the key of
+    units[0].  The weights c_g are the first tau(n) draws of the
+    fingerprint stream, made odd.
+
+    Every j is g*u for g = gcd(j, n) and a unit u, and the automorphisms
+    commute, so k fixes every eigenvalue iff row k*g equals row g for every
+    divisor g.  Such a k has equal fingerprints there, so its delta is 0:
+    the units with delta 0 are a superset of the eigenvalue fixers.  Any
+    other unit gets delta 0 only through a 64-bit collision, and both
+    callers settle that case on exact rows.  delta is linear in fp, so the
+    deltas of a sum of fingerprint rows are the sums of their deltas.
+    """
+    keys = np.take(fp, np.multiply.outer(units, divs) % fp.shape[-1], axis=-1)
+    keys = keys @ (_weights(len(divs)) | 1)
+    return keys - keys[..., :1]
+
+
 def splitting_field_degree(symbol: ConnectionSet) -> int:
     """Degree over Q of the field generated by all eigenvalues.
 
     Finds the group F of units k whose automorphism fixes every eigenvalue
     and returns phi(n) / |F|.  The automorphism z -> z^k sends eigenvalue j
-    to eigenvalue k*j.  Every j is g*u for g = gcd(j, n) and a unit u, and
-    the automorphisms commute, so k lies in F iff it fixes eigenvalue g for
-    every divisor g of n, i.e. iff annihilated row k*g equals row g (see the
-    module docstring).  Divisor n is taken mod n, so column 0 (eigenvalue
-    |S|, which every k fixes) stands in for it.
+    to eigenvalue k*j, so k lies in F iff annihilated row k*g equals row g
+    for every divisor g of n (see _fixer_gaps and the module docstring).
+    Divisor n is taken mod n, so column 0 (eigenvalue |S|, which every k
+    fixes) stands in for it.
 
-    The units that pass this test on fingerprints contain F, since equal
-    rows have equal fingerprints.  Walking them in ascending order, each one
+    The units whose _fixer_gaps delta is 0 contain F, since equal rows have
+    equal fingerprints.  Walking them in ascending order, each one
     outside the span of those confirmed so far is tested on exact rows, and
     a confirmed one extends the span by its powers.  The span only ever
     holds elements of F and every element of F is walked, so it ends as F.
@@ -400,9 +426,8 @@ def splitting_field_degree(symbol: ConnectionSet) -> int:
             f"eigenvalue oracle for n = {n}, |S| = {len(elements)} needs "
             f"n * max(|S|, 2 tau(n)) = {work}, over the limit of {_MAX_ORACLE_WORK}"
         )
-    fp = _fingerprints(n, elements)
     unit = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-    candidates = unit[(fp[np.multiply.outer(unit, divs) % n] == fp[divs]).all(axis=1)]
+    candidates = unit[_fixer_gaps(_fingerprints(n, elements), unit, divs) == 0]
     span = {1 % n}
     for k in candidates.tolist():
         if k in span:

@@ -35,7 +35,7 @@ from .circulant import (
     pair_orbits,
     regular_construction,
 )
-from .cyclotomic import _annihilated_rows, _fingerprints, splitting_field_degree
+from .cyclotomic import _annihilated_rows, _fingerprints, _fixer_gaps, splitting_field_degree
 from .golden import table_mismatch
 from .integral import (
     count_connected_integral,
@@ -92,20 +92,18 @@ def exhaustive_oracle_sweep(n: int) -> tuple[int, int, int]:
 
     - degree side: is the mask invariant under the orbit permutation that
       k induces (kS = S)?  fixing_subgroup is never called;
-    - oracle side: does eigenvalue row k*g equal row g for every divisor g
-      of n?  Every j is g*u for g = gcd(j, n) and a unit u, and the
-      automorphisms commute, so that holds iff row k*j equals row j for
-      every j.  Divisor n is taken mod n (column 0).
+    - oracle side: is the _fixer_gaps delta of k, one combined 64-bit
+      fingerprint difference over the divisor columns, zero?
 
-    The oracle side compares one linear 64-bit fingerprint per row (a fixed
-    random projection, wrapping mod 2**64), the fingerprints the oracle
-    uses; a mask's fingerprints are the sum of its orbits'.  Equal rows have
-    equal fingerprints and kS = S fixes every eigenvalue, so fingerprint
-    fixers contain the exact eigenvalue fixers, which contain the degree
-    fixers: where the two sides agree for every k, they agree exactly.  Each
-    mask where they differ is re-checked on the exact rows of its own
-    symbol, over all n columns, which dismisses a fingerprint collision but
-    not a wrong row.
+    The deltas are linear in the fingerprints (a fixed random projection of
+    the rows, wrapping mod 2**64, the ones the oracle uses), so a mask's
+    deltas are the sum of its orbits'.  A unit that fixes every eigenvalue
+    has delta 0 and kS = S fixes every eigenvalue, so delta-zero units
+    contain the exact eigenvalue fixers, which contain the degree fixers:
+    where the two sides agree for every k, they agree exactly.  Each mask
+    where they differ is re-checked on the exact rows of its own symbol,
+    over all n columns, which dismisses a fingerprint collision but not a
+    wrong row.
 
     Returns (symbols checked, mismatches, first offending mask or -1).
     Symbols checked is 2 ** len(pair_orbits(n)), the empty symbol included;
@@ -115,35 +113,30 @@ def exhaustive_oracle_sweep(n: int) -> tuple[int, int, int]:
     orbits = [make_connection_set(n, orbit).elements for orbit in pair_orbits(n)]
     num_orbits = len(orbits)
     fp = np.array([_fingerprints(n, o) for o in orbits], np.uint64).reshape(-1, n)
+    unit = np.array(units(n), dtype=np.int64)
+    gaps = _fixer_gaps(fp, unit, np.array(divisors(n), dtype=np.int64) % n)
     j_idx = np.arange(n, dtype=np.int64)
-    kmul = (np.array(units(n), dtype=np.int64)[:, None] * j_idx) % n
-    kdiv = kmul[:, np.array(divisors(n), dtype=np.int64) % n]
-    gcd_col = np.gcd(j_idx, n) % n
+    kmul = (unit[:, None] * j_idx) % n
     # pair_orbits(n)[o] is (o + 1, n - o - 1); perm[u, o] is the orbit onto
     # which the u-th unit maps orbit o.
     orbit_of = np.minimum(j_idx, n - j_idx) - 1
     perm = orbit_of[kmul[:, 1 : num_orbits + 1]]
 
-    # Fingerprints and orbit-permuted images of every low mask, by doubling.
+    # Gaps and orbit-permuted images of every low mask, by doubling.
     low = min(num_orbits, _LOW_BITS)
-    low_fp = np.zeros((1, n), dtype=np.uint64)
-    low_img = np.zeros((len(kmul), 1), dtype=np.int64)
+    low_gaps = np.zeros((1, len(unit)), dtype=np.uint64)
+    low_img = np.zeros((len(unit), 1), dtype=np.int64)
     for o in range(low):
-        low_fp = np.concatenate([low_fp, low_fp + fp[o]])
+        low_gaps = np.concatenate([low_gaps, low_gaps + gaps[o]])
         low_img = np.concatenate([low_img, low_img | (1 << perm[:, o : o + 1])], 1)
-    low_masks = np.arange(1 << low, dtype=np.int64)
 
     mismatches, first_bad = 0, -1
     for high in range(1 << (num_orbits - low)):
         bits = [o for o in range(low, num_orbits) if high >> (o - low) & 1]
-        chunk_fp = low_fp + fp[bits].sum(axis=0, dtype=np.uint64)
+        eig_fixed = (low_gaps + gaps[bits].sum(axis=0, dtype=np.uint64)) == 0  # [mask, unit]
         high_img = np.bitwise_or.reduce(1 << perm[:, bits], axis=1, initial=0)
-        masks = low_masks | (high << low)
+        masks = np.arange(high << low, (high + 1) << low, dtype=np.int64)
         deg_fixed = (low_img | high_img[:, None]) == masks  # [unit, mask]
-        # good[m, j]: row j's fingerprint equals that of row gcd(j, n) % n,
-        # so good[m, k*g] compares column k*g with column g.
-        good = chunk_fp == chunk_fp[:, gcd_col]
-        eig_fixed = good[:, kdiv].all(axis=2)  # [mask, unit]
         flagged = (deg_fixed.T != eig_fixed).any(axis=1)
         for idx in np.flatnonzero(flagged):
             mask = int(masks[idx])

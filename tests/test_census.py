@@ -150,6 +150,13 @@ def test_prime_census_rejects_bad_input():
         prime_census(13, 1)
 
 
+def test_prime_census_63_bit_boundary():
+    # 2^63 - 25 is the largest prime in range; 2^63 + 29 is a prime past it
+    assert prime_census(9223372036854775783, 17).value == 7710
+    with pytest.raises(ValueError, match="63-bit range"):
+        prime_census(9223372036854775837, 18)
+
+
 def test_prime_census_witness_properties():
     cases = ((13, 2), (19, 3), (11, 5), (17, 4), (29, 7), (31, 5), (13, 6))
     # the two costliest censuses below the enumeration limit

@@ -279,6 +279,14 @@ def test_census_over_the_work_limit_exits_2_at_once(capsys):
     assert "over the limit of 268435456" in err
 
 
+def test_census_above_the_63_bit_range_exits_2(capsys):
+    # p = 2^63 + 29 is prime and 18 divides (p - 1)/2, so only the range refuses it
+    code, out, err = run(capsys, "census", "9223372036854775837", "18")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "exceeds the supported 63-bit range" in err
+
+
 def test_deg_at_large_moduli_never_lists_the_units(capsys, monkeypatch):
     import circdeg.circulant as circulant_module
 

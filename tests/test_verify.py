@@ -81,6 +81,19 @@ def test_sweep_sees_a_corrupted_row_off_the_divisor_columns(monkeypatch):
     assert bad == 16 and first == 17
 
 
+def test_sweep_needs_no_exact_recheck(monkeypatch):
+    # The fixer gaps of every symbol with n <= 24 agree with kS = S on every
+    # unit, so no mask is flagged and no exact row is built.
+    def no_rows(*args):
+        raise AssertionError("the sweep flagged a mask for an exact re-check")
+
+    monkeypatch.setattr(verify, "_annihilated_rows", no_rows)
+    for n in range(1, 25):
+        checked, bad, first = verify.exhaustive_oracle_sweep(n)
+        assert checked == 2 ** len(pair_orbits(n))
+        assert bad == 0 and first == -1, n
+
+
 def _referenced_names(obj) -> set[str]:
     """Every name, attribute and imported name in obj's source."""
     names = set()
