@@ -16,14 +16,16 @@ multiplication by g_n = prod over primes p | n of (x^(n/p) - 1) sends to
 zero: x^n - 1 is squarefree, and g_n vanishes at every non-primitive n-th
 root of unity and at no primitive one (de Bruijn 1953; Lam and Leung, J.
 Algebra 224, 2000).  So eigenvalues j and j' are equal iff the annihilated
-histograms H_j * g_n and H_j' * g_n are, and each costs one cyclic
-roll-and-subtract per prime p | n.  The oracle and the exhaustive sweep
-test each unit on one combined difference of 64-bit fingerprints of these
-histograms (_fixer_gaps), taken through the adjoint of g_n without
+histograms H_j * g_n and H_j' * g_n are.  The oracle and the exhaustive
+sweep test each unit on one combined difference of 64-bit fingerprints of
+these histograms (_fixer_gaps), taken through the adjoint of g_n without
 building them, and build exact rows only for the few indices j they must
-confirm.  Since S = -S, fingerprint n - j equals fingerprint j and each
-inverse pair {s, n - s} is gathered once, so about a quarter of the
-n * |S| cells are read.
+confirm.  An exact row is sparse: the at most |S| * 2^omega(n) nonzero
+terms of H_j * g_n, multiplied out one prime p | n at a time, never n
+cells.  Since S = -S, H_(n-j) = H_j: the unit -1 fixes every eigenvalue
+and the oracle never confirms it, fingerprint n - j equals fingerprint j,
+and each inverse pair {s, n - s} is gathered once, so about a quarter of
+the n * |S| cells are read.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ _COEFF_BOUND = 1 << 40
 _PHI_COEFF_BOUND = 1 << 22
 _MAX_TABLE_CELLS = 1 << 27
 
-# The eigenvalue oracle does n * |S| work for its fingerprints and
-# n * 2 tau(n) for each exact confirmation; splitting_field_degree refuses
-# a symbol past this many cells of either before any work.
+# The eigenvalue oracle's fingerprints take n * |S| cells and its fixer
+# gaps 2 phi(n) tau(n); splitting_field_degree refuses a symbol past this
+# many cells of either before any work.
 _MAX_ORACLE_WORK = 1 << 27
 _FINGERPRINT_SEED = 20240
 # Fingerprint weights for n up to this many come from one kept 32 KB stream.
@@ -358,16 +360,38 @@ def _fingerprints(n: int, elements: Sequence[int]) -> np.ndarray:
 def _annihilated_rows(n: int, elements: Sequence[int], js: Iterable[int]) -> np.ndarray:
     """Row i holds H_j * g_n for j = js[i], the annihilated exponent histogram.
 
-    Entries start below n and at most double with each of the omega(n)
-    factors x^(n/p) - 1; 2^omega(n) <= n, so they stay exact in int64.
+    Sparse: a row lists the exponents of its nonzero terms, ascending, and
+    then their coefficients, padded to one width for all rows with exponent
+    n and coefficient 0, so two rows are equal iff their products are.
+    The |S| monomials x^(j*s mod n) of H_j are multiplied by x^(n/p) - 1
+    one prime at a time, merging equal exponents and dropping zero
+    coefficients after each step, so a row has at most |S| * 2^omega(n)
+    terms and nothing of n cells is built.  A coefficient is at most
+    |S| * 2^omega(n) <= n^2 in size, so it stays exact in int64.
     """
     js = np.asarray(js, dtype=np.int64)
-    cells = np.arange(len(js))[:, None] * n
-    cells = cells + np.multiply.outer(js, np.array(elements, dtype=np.int64)) % n
-    rows = np.bincount(cells.ravel(), minlength=len(js) * n).reshape(len(js), n)
+    keys = np.multiply.outer(js, np.array(elements, dtype=np.int64)) % n
+    keys = (keys + n * np.arange(len(js))[:, None]).ravel()  # row * n + exponent
+    coeffs = np.ones(keys.size, dtype=np.int64)
     for p in factorize(n).primes():
-        # times x^(n/p) - 1: coefficient e becomes H[e - n/p] - H[e]
-        rows = np.concatenate([rows[:, n - n // p :], rows[:, : n - n // p]], axis=1) - rows
+        # term c x^e becomes c x^(e + n/p) - c x^e
+        keys = np.concatenate([keys - keys % n + (keys + n // p) % n, keys])
+        coeffs = np.concatenate([coeffs, -coeffs])
+        order = np.argsort(keys)
+        keys = keys[order]
+        # keys[:1] >= 0 starts a run at 0 unless there are no terms
+        starts = np.flatnonzero(np.concatenate([keys[:1] >= 0, keys[1:] != keys[:-1]]))
+        coeffs = np.add.reduceat(coeffs[order], starts)
+        nonzero = coeffs != 0
+        keys, coeffs = keys[starts][nonzero], coeffs[nonzero]
+    row = keys // n
+    counts = np.bincount(row, minlength=len(js))
+    width = int(counts.max(initial=0))
+    column = np.arange(keys.size) - (np.cumsum(counts) - counts)[row]
+    rows = np.zeros((len(js), 2 * width), dtype=np.int64)
+    rows[:, :width] = n
+    rows[row, column] = keys % n
+    rows[row, width + column] = coeffs
     return rows
 
 
@@ -408,27 +432,38 @@ def splitting_field_degree(symbol: ConnectionSet) -> int:
     fixes) stands in for it.
 
     The units whose _fixer_gaps delta is 0 contain F, since equal rows have
-    equal fingerprints.  Walking them in ascending order, each one
-    outside the span of those confirmed so far is tested on exact rows, and
-    a confirmed one extends the span by its powers.  The span only ever
-    holds elements of F and every element of F is walked, so it ends as F.
-    The test never inspects k*S = S.  The value must agree with
-    algebraic_degree(S); any disagreement is a bug in one of the two routes
-    and is surfaced by the verification suite, never reconciled here.
-    Raises ValueError, before any work, where n * max(|S|, 2 tau(n)) is
-    over the oracle's work limit.
+    equal fingerprints.  The span starts as {1, -1}: -1 lies in F because
+    H_(-g) = sum of x^(-g*s) = sum of x^(g*s) = H_g, as -S = S
+    (_fingerprints refuses any other S before the span is read).  Walking
+    the candidates in ascending order, each one outside the span of those
+    confirmed so far is tested on sparse exact rows, and a confirmed one
+    extends the span by its powers.  The span only ever holds elements of F
+    and every element of F is walked, so it ends as F.  The test never
+    inspects k*S = S.  The value must agree with algebraic_degree(S); any
+    disagreement is a bug in one of the two routes and is surfaced by the
+    verification suite, never reconciled here.
+
+    Raises ValueError, before any work, where
+    max(n * max(|S|, 4), 2 phi(n) tau(n)) is over the oracle's work limit.
+    The first term counts the n-sized fingerprint arrays and their n * |S|
+    gathered cells (at least 4n, so no n above 2^25 is admitted), the
+    second the index and gather cells of _fixer_gaps.  The exact rows need
+    no term of their own: a confirmation builds at most
+    2 tau(n) * |S| * 2^omega(n) sparse terms, and
+    2^omega(n) <= tau(n) <= 2 sqrt(n), so that is at most 8 n |S|.
     """
     n, elements = symbol.n, symbol.elements
     divs = np.array(divisors(n), dtype=np.int64) % n
-    work = n * max(len(elements), 2 * len(divs))
+    work = max(n * max(len(elements), 4), 2 * euler_phi(n) * len(divs))
     if work > _MAX_ORACLE_WORK:
         raise ValueError(
             f"eigenvalue oracle for n = {n}, |S| = {len(elements)} needs "
-            f"n * max(|S|, 2 tau(n)) = {work}, over the limit of {_MAX_ORACLE_WORK}"
+            f"max(n * max(|S|, 4), 2 phi(n) tau(n)) = {work}, over the limit of "
+            f"{_MAX_ORACLE_WORK}"
         )
     unit = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
     candidates = unit[_fixer_gaps(_fingerprints(n, elements), unit, divs) == 0]
-    span = {1 % n}
+    span = {1 % n, -1 % n}
     for k in candidates.tolist():
         if k in span:
             continue

@@ -174,17 +174,25 @@ def test_deg_oracle_disagreement_exit_code(capsys, monkeypatch):
 def test_deg_oracle_over_size_limit_prints_nothing(capsys, monkeypatch):
     import circdeg.cyclotomic as cyclotomic_module
 
-    # 12:1,11 needs n * max(|S|, 2 tau(n)) = 12 * 12 oracle work.
+    # 12:1,11 needs max(n * max(|S|, 4), 2 phi(n) tau(n)) = 48 oracle work.
     def no_work(*args):
         raise AssertionError("oracle work started before the limit check")
 
-    monkeypatch.setattr(cyclotomic_module, "_MAX_ORACLE_WORK", 143)
+    monkeypatch.setattr(cyclotomic_module, "_MAX_ORACLE_WORK", 47)
     monkeypatch.setattr(cyclotomic_module, "_fingerprints", no_work)
     monkeypatch.setattr(cyclotomic_module, "_annihilated_rows", no_work)
     code, out, err = run(capsys, "deg", "12:1,11", "--oracle")
     assert code == EXIT_USAGE
     assert out == ""
-    assert "144, over the limit of 143" in err
+    assert "48, over the limit of 47" in err
+
+
+def test_deg_oracle_at_a_modulus_with_many_divisors(capsys):
+    # tau(720720) = 240: the exact step builds no row of n cells, so the
+    # work limit admits this symbol.
+    code, out, err = run(capsys, "deg", "720720:1,720719", "--oracle")
+    assert code == EXIT_OK, err
+    assert "oracle 69120\n" in out and "agree true\n" in out
 
 
 def test_deg_over_unit_scan_limit_exits_2_at_once(capsys):

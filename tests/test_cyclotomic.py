@@ -11,7 +11,12 @@ import pytest
 
 import circdeg.cyclotomic as cyclotomic_module
 import circdeg.unitgroup as unitgroup_module
-from circdeg.circulant import algebraic_degree, make_connection_set, parse_connection_set
+from circdeg.circulant import (
+    algebraic_degree,
+    make_connection_set,
+    parse_connection_set,
+    regular_construction,
+)
 from circdeg.cyclotomic import (
     CyclotomicInt,
     IntPolynomial,
@@ -256,6 +261,14 @@ def test_splitting_degree_examples():
     assert splitting_field_degree(make_connection_set(13, set())) == 1
 
 
+def _dense_rows(rows, n):
+    """The n coefficients of each sparse exact row (exponents, then coefficients)."""
+    width = rows.shape[1] // 2
+    dense = np.zeros((len(rows), n + 1), dtype=np.int64)  # column n takes the padding
+    np.add.at(dense, (np.arange(len(rows))[:, None], rows[:, :width]), rows[:, width:])
+    return dense[:, :n]
+
+
 def _equal_row_pairs(rows):
     """Boolean matrix: [j, j'] is True iff rows j and j' are equal."""
     return (rows[:, None, :] == rows[None, :, :]).all(axis=2)
@@ -299,18 +312,18 @@ def test_row_partition_test_sees_a_factor_vanishing_at_primitive_roots(
 
 
 def test_oracle_work_limit(monkeypatch):
-    # 12:1,11 needs n * max(|S|, 2 tau(n)) = 12 * max(2, 12) = 144.
+    # 12:1,11 needs max(n * max(|S|, 4), 2 phi(n) tau(n)) = max(48, 2 * 4 * 6) = 48.
     symbol = make_connection_set(12, {1, 11})
-    monkeypatch.setattr(cyclotomic_module, "_MAX_ORACLE_WORK", 144)
+    monkeypatch.setattr(cyclotomic_module, "_MAX_ORACLE_WORK", 48)
     assert splitting_field_degree(symbol) == 2
 
     def no_work(*args):
         raise AssertionError("oracle work started before the limit check")
 
-    monkeypatch.setattr(cyclotomic_module, "_MAX_ORACLE_WORK", 143)
+    monkeypatch.setattr(cyclotomic_module, "_MAX_ORACLE_WORK", 47)
     monkeypatch.setattr(cyclotomic_module, "_fingerprints", no_work)
     monkeypatch.setattr(cyclotomic_module, "_annihilated_rows", no_work)
-    with pytest.raises(ValueError, match="144, over the limit of 143"):
+    with pytest.raises(ValueError, match="48, over the limit of 47"):
         splitting_field_degree(symbol)
 
 
@@ -368,7 +381,7 @@ def test_fingerprints_project_the_exact_rows():
         weights = np.random.default_rng(cyclotomic_module._FINGERPRINT_SEED).integers(
             0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True
         )
-        rows = _annihilated_rows(n, symbol.elements, range(n))
+        rows = _dense_rows(_annihilated_rows(n, symbol.elements, range(n)), n)
         expected = rows.view(np.uint64) @ weights
         assert np.array_equal(_fingerprints(n, symbol.elements), expected), symbol
 
@@ -473,7 +486,8 @@ def test_annihilated_rows_match_the_rolled_reference():
         n, elements = symbol.n, symbol.elements
         js = list(range(n)) + [0, n - 1]
         expected = _rolled_rows(n, elements, js)
-        assert np.array_equal(_annihilated_rows(n, elements, js), expected), symbol
+        rows = _dense_rows(_annihilated_rows(n, elements, js), n)
+        assert np.array_equal(rows, expected), symbol
 
 
 def test_oracle_confirms_fingerprint_candidates_exactly(monkeypatch):
@@ -490,6 +504,40 @@ def test_oracle_confirms_fingerprint_candidates_exactly(monkeypatch):
         lambda n, elements, js: np.zeros((len(js), n), np.int64),
     )
     assert _degree_disagreements(_symmetric_symbols(20)) > 0
+
+
+def test_minus_one_is_fixed_without_exact_rows(monkeypatch):
+    # H_(-g) = H_g because -S = S, so -1 starts in the span and a symbol
+    # whose fixers are only +-1 builds no exact row ...
+    def no_rows(*args):
+        raise AssertionError("exact rows built")
+
+    monkeypatch.setattr(cyclotomic_module, "_annihilated_rows", no_rows)
+    assert splitting_field_degree(parse_connection_set("510510:1,3,510507,510509")) == 46080
+    answered = 0
+    for symbol in random_symbols(200, 48, 768, seed=61):
+        if algebraic_degree(symbol) == euler_phi(symbol.n) // 2:
+            assert splitting_field_degree(symbol) == euler_phi(symbol.n) // 2, symbol
+            answered += 1
+    assert answered >= 150
+    # ... while the subgroup symbols whose F is larger than {+-1} still
+    # confirm their other fixers on exact rows.
+    monkeypatch.undo()
+    rows, built = cyclotomic_module._annihilated_rows, []
+
+    def counted_rows(*args):
+        built.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(cyclotomic_module, "_annihilated_rows", counted_rows)
+    larger = 0
+    for n in range(3, 61):
+        for d in divisors(euler_phi(n) // 2)[:-1]:
+            symbol, before = regular_construction(n, d), len(built)
+            assert splitting_field_degree(symbol) == algebraic_degree(symbol) == d, symbol
+            assert len(built) > before, symbol
+            larger += 1
+    assert larger >= 100
 
 
 def test_degree_one_iff_all_eigenvalues_integral():

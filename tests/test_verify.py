@@ -1,6 +1,9 @@
 import ast
+import functools
 import inspect
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 import circdeg
-from circdeg import cyclotomic, integral, numtheory, verify
+from circdeg import circulant, cyclotomic, integral, numtheory, verify
 from circdeg.circulant import algebraic_degree, make_connection_set, pair_orbits
 from circdeg.cyclotomic import splitting_field_degree
 
@@ -93,6 +96,70 @@ def test_sweep_needs_no_exact_recheck(monkeypatch):
         assert checked == 2 ** len(pair_orbits(n))
         assert bad == 0 and first == -1, n
 
+
+@functools.lru_cache(maxsize=None)
+def _large_modulus_draws():
+    """30 seeded symbols with n log-uniform over 10^3..10^5, and their oracle degrees.
+
+    Even draws take 1-3 inverse pairs of units.  Odd draws take 1-3 inverse
+    pairs from one gcd class g with 1 < g < n, at n with tau(n) >= 32, so
+    the fixer scan pivots on a class g > 1.
+    """
+    rng = random.Random(5)
+    draws = []
+    for i in range(30):
+        n = round(10 ** rng.uniform(3, 5))
+        while i % 2 and numtheory.tau(n) < 32:
+            n = round(10 ** rng.uniform(3, 5))
+        g = rng.choice(numtheory.divisors(n)[1:-1]) if i % 2 else 1
+        elems = set()
+        for _ in range(rng.randint(1, 3)):
+            u = rng.randrange(1, n // g)
+            while math.gcd(u, n // g) != 1:
+                u = rng.randrange(1, n // g)
+            elems.update((g * u, n - g * u))
+        symbol = make_connection_set(n, elems)
+        draws.append((symbol, splitting_field_degree(symbol)))
+    return tuple(draws)
+
+
+def _fixer_orders_with_searched_lookups(monkeypatch, side):
+    """|fixing_subgroup| of each large-modulus draw, with _membership's binary
+    search looking up on `side`, and how many lookups took that branch."""
+    membership, searched = circulant._membership, []
+
+    def wrapped(values, bound, lookups):
+        contains = membership(values, bound, lookups)
+        if not inspect.isfunction(contains):  # the table branch's __getitem__
+            return contains
+        searched.append(bound)
+        ends = np.append(values, bound)
+        return lambda x: ends[np.searchsorted(ends, x, side=side)] == x
+
+    monkeypatch.setattr(circulant, "_membership", wrapped)
+    monkeypatch.setattr(circulant, "_last_scan", None)  # scan afresh, keep no wrong result
+    orders = [len(circulant.fixing_subgroup(symbol)) for symbol, _ in _large_modulus_draws()]
+    return orders, len(searched)
+
+
+def _oracle_fixer_orders():
+    return [numtheory.euler_phi(s.n) // oracle for s, oracle in _large_modulus_draws()]
+
+
+def test_degree_routes_agree_at_large_moduli(monkeypatch):
+    # algebraic_degree is phi(n) / |fixing_subgroup|
+    pivots = [math.gcd(s.elements[0], s.n) for s, _ in _large_modulus_draws()]
+    assert sum(g > 1 for g in pivots) == 15
+    orders, searched = _fixer_orders_with_searched_lookups(monkeypatch, "left")
+    assert orders == _oracle_fixer_orders()
+    assert searched > 0
+
+
+def test_large_moduli_see_a_broken_binary_search(monkeypatch):
+    # side="right" misses every member, so every candidate is rejected.
+    orders, searched = _fixer_orders_with_searched_lookups(monkeypatch, "right")
+    assert searched > 0
+    assert orders != _oracle_fixer_orders()
 
 def _referenced_names(obj) -> set[str]:
     """Every name, attribute and imported name in obj's source."""
