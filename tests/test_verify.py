@@ -123,18 +123,20 @@ def _large_modulus_draws():
     return tuple(draws)
 
 
-def _fixer_orders_with_searched_lookups(monkeypatch, side):
-    """|fixing_subgroup| of each large-modulus draw, with _membership's binary
-    search looking up on `side`, and how many lookups took that branch."""
+def _fixer_orders_with_searched_lookups(monkeypatch, side=None):
+    """|fixing_subgroup| of each large-modulus draw, and how many lookups took
+    _membership's binary-search branch; given a side, that branch is replaced
+    by a search on that side."""
     membership, searched = circulant._membership, []
 
     def wrapped(values, bound, lookups):
         contains = membership(values, bound, lookups)
-        if not inspect.isfunction(contains):  # the table branch's __getitem__
-            return contains
-        searched.append(bound)
-        ends = np.append(values, bound)
-        return lambda x: ends[np.searchsorted(ends, x, side=side)] == x
+        if inspect.isfunction(contains):  # the search; the table gives its __getitem__
+            searched.append(bound)
+            if side is not None:
+                ends = np.append(values, bound)
+                contains = lambda x: ends[np.searchsorted(ends, x, side=side)] == x
+        return contains
 
     monkeypatch.setattr(circulant, "_membership", wrapped)
     monkeypatch.setattr(circulant, "_last_scan", None)  # scan afresh, keep no wrong result
@@ -150,7 +152,7 @@ def test_degree_routes_agree_at_large_moduli(monkeypatch):
     # algebraic_degree is phi(n) / |fixing_subgroup|
     pivots = [math.gcd(s.elements[0], s.n) for s, _ in _large_modulus_draws()]
     assert sum(g > 1 for g in pivots) == 15
-    orders, searched = _fixer_orders_with_searched_lookups(monkeypatch, "left")
+    orders, searched = _fixer_orders_with_searched_lookups(monkeypatch)
     assert orders == _oracle_fixer_orders()
     assert searched > 0
 
