@@ -242,8 +242,11 @@ def prime_census(p: int, d: int) -> CensusRecord:
     that is by their least residues.  Then min(A ^ B) is the least residue
     of the first coset in that order that one union holds and the other
     does not, so A < B iff A's coset bits, read in that order as a binary
-    number (its key, from _coset_weights), are larger.  The least rotation
-    is the one with the largest key (_least_rotation).  Within one size,
+    number (its key, from _coset_weights), are larger.  Rotation i moves
+    coset j to j + i, so the keys of all d rotations of the kept unions are
+    one int64 product of their (K, d) coset bits with the d x d rotation
+    matrix rotate[j, i] = weight[(i + j) % d], built once per census.  The
+    least rotation is the one with the largest key (_least_rotation).  Within one size,
     ascending witness tuples are descending keys, so witnesses are ordered
     by (size, -key) and each is sorted once.  `verify full` re-checks the
     example witnesses with canonical_form, which works on residues.
@@ -271,11 +274,13 @@ def prime_census(p: int, d: int) -> CensusRecord:
     bits = (masks[:, None] >> np.arange(d)) & 1
     sizes = bits.sum(axis=1)
     weight = _coset_weights(cosets)
-    shifts = np.arange(d)[:, None]
+    # rotate[j, i] = weight[(i + j) % d]: coset j's weight in rotation i
+    rotate = weight[np.add.outer(np.arange(d), np.arange(d)) % d]
     witnesses: list[ConnectionSet] = []
     for size in range(1, d):
         group = sizes == size
-        _, indices = np.nonzero(bits[group])
+        held = bits[group]
+        _, indices = np.nonzero(held)
         indices = indices.reshape(-1, size)
         symbols = np.sort(cosets[indices].reshape(len(indices), -1), axis=1)
         keeps = np.array([f == subgroup.elements for f in _fixers(p, symbols)])
@@ -289,7 +294,7 @@ def prime_census(p: int, d: int) -> CensusRecord:
             )
         # the d coset rotations of each kept union: all its multiplier images
         kept = indices[keeps]
-        keys = weight[(kept[:, None, :] + shifts) % d].sum(axis=2)
+        keys = held[keeps] @ rotate
         chosen = _least_rotation(keys)
         ranked = np.argsort(-keys[np.arange(len(kept)), chosen])
         rotated = (kept[ranked] + chosen[ranked, None]) % d

@@ -23,7 +23,7 @@ import time
 from typing import Any, Iterable, Optional
 
 from . import __version__
-from .census import prime_census
+from .census import CensusRecord, prime_census
 from .circulant import (
     algebraic_degree,
     fixing_subgroup,
@@ -213,17 +213,29 @@ def cmd_table(args) -> int:
     return status
 
 
+def _encoded_witnesses(record: CensusRecord) -> list[str]:
+    """The witnesses' text forms, equal to `w.encode()` for each, looked up
+    in one table of the decimal strings of the residues below p.  The table
+    is built only when there are witnesses, which bounds p (see
+    census._MAX_CENSUS_PRODUCTS); the formula path may take p near 2^63."""
+    if not record.witnesses:
+        return []
+    decimal = [str(r) for r in range(record.n)]
+    prefix = f"{record.n}:"
+    return [prefix + ",".join([decimal[r] for r in w.elements]) for w in record.witnesses]
+
+
 def cmd_census(args) -> int:
     record = prime_census(args.p, args.d)
     print(f"count {record.value}")
     print(f"method {record.method}")
     payload = {"count": record.value, "method": record.method}
     if args.witnesses:
-        encoded = [w.encode() for w in record.witnesses]
+        encoded = _encoded_witnesses(record)
         payload["witnesses"] = encoded
-        for text in encoded:
-            print(text)
-        if not encoded:
+        if encoded:
+            print("\n".join(encoded))
+        else:
             print(
                 "note: witnesses are not materialized for this degree",
                 file=sys.stderr,

@@ -197,6 +197,32 @@ def test_coset_keys_order_unions_as_their_sorted_residues(p, d):
         assert all(a > b for a, b in zip(keys, keys[1:]))
 
 
+@pytest.mark.parametrize("p, d", [(11, 5), (13, 3), (29, 14), (53, 13), (73, 12)])
+def test_rotation_keys_are_the_gathered_sums_per_rotation(monkeypatch, p, d):
+    # the keys prime_census hands _least_rotation, one batch per union size,
+    # against sum over held cosets j of weight[(j + i) % d] for each rotation i
+    batches = []
+    least_rotation = census._least_rotation
+
+    def spy(keys):
+        batches.append(keys)
+        return least_rotation(keys)
+
+    monkeypatch.setattr(census, "_least_rotation", spy)
+    prime_census(p, d)
+    subgroup, reps = census._prime_cosets(p, d)
+    cosets = np.multiply.outer(np.array(reps), np.array(subgroup.elements)) % p
+    weight = census._coset_weights(cosets)
+    masks, aperiodic = census._orbit_representatives(d)
+    kept = [[j for j in range(d) if m >> j & 1] for m in masks[aperiodic].tolist()]
+    assert len(batches) == d - 1
+    for size, keys in enumerate(batches, start=1):
+        held = np.array([k for k in kept if len(k) == size], dtype=np.int64).reshape(-1, size)
+        gathered = weight[(held[:, None, :] + np.arange(d)[:, None]) % d].sum(axis=2)
+        assert keys.dtype == np.int64
+        assert np.array_equal(keys, gathered), size
+
+
 def test_prime_census_work_limit_boundary(monkeypatch):
     # (11, 5): |H| = 2, and the largest batch is the 2 orbits of three
     # cosets, 2 * 6^2 = 72 products

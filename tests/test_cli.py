@@ -6,6 +6,7 @@ import time
 import pytest
 
 from circdeg import mintable
+from circdeg.census import prime_census
 from circdeg.cli import (
     EXIT_DISAGREEMENT,
     EXIT_GOLDEN_MISMATCH,
@@ -18,6 +19,7 @@ from circdeg.cli import (
     table_csv,
 )
 from circdeg.mintable import degree_table
+from circdeg.numtheory import is_prime
 
 
 def run(capsys, *argv):
@@ -293,6 +295,41 @@ def test_census_above_the_63_bit_range_exits_2(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert "exceeds the supported 63-bit range" in err
+
+
+def test_census_witness_text_is_the_connection_set_encoding(capsys, monkeypatch, tmp_path):
+    # stdout and the envelope against ConnectionSet.encode, the one text form
+    import circdeg.cli as cli_module
+
+    envelopes = []
+    monkeypatch.setattr(cli_module, "append_cache", lambda path, env: envelopes.append(env))
+    cases = [
+        (p, d)
+        for p in range(3, 200)
+        if is_prime(p)
+        for d in range(2, 15)
+        if ((p - 1) // 2) % d == 0
+    ]
+    assert len(cases) == 105
+    for p, d in cases:
+        code, out, err = run(
+            capsys, "--cache", str(tmp_path / "c.jsonl"), "census", str(p), str(d), "--witnesses"
+        )
+        expected = [w.encode() for w in prime_census(p, d).witnesses]
+        assert code == EXIT_OK and err == "", (p, d)
+        assert out.splitlines()[2:] == expected, (p, d)
+        assert envelopes[-1].output["witnesses"] == expected, (p, d)
+    assert len(envelopes) == len(cases)
+
+
+def test_census_past_the_enumeration_limit_at_a_large_prime(capsys):
+    # d = 15 takes the formula path: no witnesses, so no table of p strings
+    start = time.perf_counter()
+    code, out, err = run(capsys, "census", "1000000000471", "15", "--witnesses")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    assert out == "count 2182\nmethod aperiodic-subset-formula\n"
+    assert err == "note: witnesses are not materialized for this degree\n"
 
 
 def test_deg_at_large_moduli_never_lists_the_units(capsys, monkeypatch):
