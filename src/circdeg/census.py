@@ -246,10 +246,11 @@ def prime_census(p: int, d: int) -> CensusRecord:
     coset j to j + i, so the keys of all d rotations of the kept unions are
     one int64 product of their (K, d) coset bits with the d x d rotation
     matrix rotate[j, i] = weight[(i + j) % d], built once per census.  The
-    least rotation is the one with the largest key (_least_rotation).  Within one size,
-    ascending witness tuples are descending keys, so witnesses are ordered
-    by (size, -key) and each is sorted once.  `verify full` re-checks the
-    example witnesses with canonical_form, which works on residues.
+    least rotation is the one with the largest key (_least_rotation).
+    Within one size, ascending witness tuples are descending keys, so
+    witnesses are ordered by (size, -key) and each is sorted once.  `verify
+    full` re-checks the example witnesses with canonical_form, which works
+    on residues.
     """
     _validate_prime_census_args(p, d)
     formula_total = aperiodic_subset_count(d)
@@ -274,7 +275,6 @@ def prime_census(p: int, d: int) -> CensusRecord:
     bits = (masks[:, None] >> np.arange(d)) & 1
     sizes = bits.sum(axis=1)
     weight = _coset_weights(cosets)
-    # rotate[j, i] = weight[(i + j) % d]: coset j's weight in rotation i
     rotate = weight[np.add.outer(np.arange(d), np.arange(d)) % d]
     witnesses: list[ConnectionSet] = []
     for size in range(1, d):
