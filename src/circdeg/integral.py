@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circulant import ConnectionSet, make_connection_set
 from .numtheory import divisors, euler_phi, lcm_of_set, mobius, tau
 from .unitgroup import units
@@ -113,15 +115,24 @@ def count_connected_integral_bruteforce(n: int) -> int:
     The union of the basic sets of a divisor set D is connected iff the gcd
     of n and the members of D is 1, since the basic set of d holds d itself
     and only multiples of d.  So each of the 2^(tau(n)-1) symbols is tested
-    by that gcd, built by doubling over the proper divisors; independent of
-    the closed form.  Refuses n with more than 2^23 symbols.
+    by that gcd, independent of the closed form.  The gcds fill one int64
+    array by doubling over the proper divisors: bit i of a mask adds the
+    i-th divisor.  Refuses, before listing divisors or making the array, n
+    with tau(n) above _ENUMERATION_TAU_BOUND; at the bound the array holds
+    2^23 cells (64 MB).
     """
     if n < 1:
         raise ValueError(f"expected n >= 1, got {n}")
-    if tau(n) > _ENUMERATION_TAU_BOUND:
-        raise ValueError(f"n = {n} has too many divisors to enumerate")
+    count = tau(n)
+    if count > _ENUMERATION_TAU_BOUND:
+        raise ValueError(
+            f"n = {n} has {count} divisors, over the enumeration limit of "
+            f"{_ENUMERATION_TAU_BOUND}"
+        )
+    proper = divisors(n)[:-1]
     # gcds[mask] is the gcd of n and the i-th proper divisor for each bit i set.
-    gcds = [n]
-    for d in divisors(n)[:-1]:
-        gcds += [math.gcd(g, d) for g in gcds]
-    return gcds.count(1)
+    gcds = np.empty(1 << len(proper), dtype=np.int64)
+    gcds[0] = n
+    for i, d in enumerate(proper):
+        np.gcd(gcds[: 1 << i], d, out=gcds[1 << i : 2 << i])
+    return int(np.count_nonzero(gcds == 1))

@@ -19,7 +19,7 @@ from circdeg.cli import (
     table_csv,
 )
 from circdeg.mintable import degree_table
-from circdeg.numtheory import is_prime
+from circdeg.numtheory import euler_phi, is_prime
 
 
 def run(capsys, *argv):
@@ -97,6 +97,23 @@ def test_table_check_detects_mismatch(capsys, monkeypatch):
     assert "d = 4" in err
 
 
+def test_table_check_names_the_row_a_wrong_scan_gets(capsys, monkeypatch):
+    # phi(n + 1) moves every C(d) one down, to an order with no degree-d
+    # witness: the check, not the refused construction, reports it.
+    monkeypatch.setattr(mintable, "euler_phi", lambda n: euler_phi(n + 1))
+    code, out, err = run(capsys, "table", "100", "--check")
+    assert code == EXIT_GOLDEN_MISMATCH
+    assert out == ""
+    assert err == (
+        "error: computed table deviates from the published table: row d = 2: "
+        "computed (C, p, strict) = (4, 5, True), published (5, 5, False)\n"
+    )
+    # Unchecked, the refusal stands as it is.
+    code, _, err = run(capsys, "table", "100")
+    assert code == EXIT_USAGE
+    assert "does not divide phi(4)/2" in err
+
+
 def test_table_usage_error(capsys):
     code, _, _ = run(capsys, "table", "0")
     assert code == EXIT_USAGE
@@ -162,6 +179,24 @@ def test_integral_disagreement_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "integral", "6", "--brute")
     assert code == EXIT_DISAGREEMENT
     assert "disagrees" in err
+
+
+def test_integral_brute_sees_a_dropped_divisor(capsys, monkeypatch):
+    import circdeg.integral as integral_module
+
+    good = integral_module.divisors
+    # Drop the largest proper divisor (30 for n = 60).
+    monkeypatch.setattr(integral_module, "divisors", lambda n: good(n)[:-2] + good(n)[-1:])
+    code, _, err = run(capsys, "integral", "60", "--brute")
+    assert code == EXIT_DISAGREEMENT
+    assert "disagrees" in err
+
+
+def test_integral_brute_over_the_enumeration_limit_exits_2(capsys):
+    code, out, err = run(capsys, "integral", "223092870", "--brute")
+    assert code == EXIT_USAGE
+    assert out.startswith("count ")
+    assert err == "error: n = 223092870 has 512 divisors, over the enumeration limit of 24\n"
 
 
 def test_deg_oracle_disagreement_exit_code(capsys, monkeypatch):

@@ -177,6 +177,37 @@ def test_bruteforce_rejects_huge_divisor_counts():
         count_connected_integral_bruteforce(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)
 
 
+def test_bruteforce_refusal_names_n_tau_and_the_limit(monkeypatch):
+    import circdeg.integral as integral_module
+
+    with pytest.raises(ValueError, match=(
+        r"^n = 223092870 has 512 divisors, over the enumeration limit of 24$"
+    )):
+        count_connected_integral_bruteforce(223092870)
+    assert count_connected_integral_bruteforce(360) == count_connected_integral(360)
+
+    monkeypatch.setattr(integral_module, "_ENUMERATION_TAU_BOUND", 4)
+    assert count_connected_integral_bruteforce(6) == 5  # tau(6) = 4, at the bound
+
+    def refuse(n):
+        raise AssertionError("listed divisors past the limit")
+
+    monkeypatch.setattr(integral_module, "divisors", refuse)
+    with pytest.raises(ValueError, match=(
+        r"^n = 16 has 5 divisors, over the enumeration limit of 4$"
+    )):
+        count_connected_integral_bruteforce(16)
+
+
+def test_bruteforce_edges_of_the_int64_array():
+    # n = 1 has no proper divisor: one empty symbol, connected.
+    assert count_connected_integral_bruteforce(1) == 1 == count_connected_integral(1)
+    # A 63-bit n with four divisors: every gcd must stay exact in int64.
+    n = 3 * (2**61 - 1)
+    assert n.bit_length() == 63 and tau(n) == 4
+    assert count_connected_integral_bruteforce(n) == count_connected_integral(n) == 5
+
+
 def test_realized_symbols_are_degree_one():
     for n in range(1, 61):
         for sym in all_symbols(n):

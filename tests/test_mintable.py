@@ -47,6 +47,34 @@ def test_one_scan_matches_per_degree_scans():
         assert min_order_for_degree(d) == want[d]
 
 
+def test_scan_stops_within_one_block_of_the_last_order(monkeypatch):
+    seen = []
+
+    def counted(n):
+        seen.append(n)
+        return euler_phi(n)
+
+    monkeypatch.setattr(mintable, "euler_phi", counted)
+    for degrees in ((1, 2, 3), (2,), (94,), range(1, 101), range(1, 1001)):
+        seen.clear()
+        top = max(mintable._min_orders(degrees).values())
+        # One euler_phi call per n, ascending from 2, through the last C(d) ...
+        assert seen == list(range(2, len(seen) + 2))
+        assert seen[-1] >= top
+        # ... and at most one block past it.
+        assert seen[-1] - top < mintable._BLOCK_CAP
+    seen.clear()
+    assert [r.c_of_d for r in degree_table(3)] == [1, 5, 7]
+    assert len(seen) < 16  # table 3 needs n <= 7: a small table stays cheap
+
+
+def test_min_order_refuses_degrees_past_the_order_range():
+    # C(d) > 2d, so 2d >= 2^63 - 1 has no order in range; nor does 2d fit int64.
+    for d in (2**62, 2**63 - 1, 2**70):
+        with pytest.raises(ValueError, match=r"is over the largest order"):
+            min_order_for_degree(d)
+
+
 def test_degree_table_small_rows():
     rows = degree_table(3)
     assert [(r.d, r.c_of_d, r.p_d, r.strict) for r in rows] == [

@@ -236,6 +236,15 @@ def test_fault_injection_is_caught(monkeypatch):
     assert "totient" in result.detail
 
 
+def test_integral_check_sees_a_dropped_divisor(monkeypatch):
+    good = integral.divisors
+    # Drop the largest proper divisor; n = 2 is the first n it changes.
+    monkeypatch.setattr(integral, "divisors", lambda n: good(n)[:-2] + good(n)[-1:])
+    result = verify.check_integral_counts()
+    assert not result.passed
+    assert result.detail.startswith("n = 2: ")
+
+
 def test_fault_injection_is_caught_under_python_O():
     # `python -O` strips assert statements; the checks must fail anyway.
     code = (
