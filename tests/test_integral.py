@@ -173,17 +173,16 @@ def test_count_lower_bound_and_prime_power_equality():
 
 
 def test_bruteforce_rejects_huge_divisor_counts():
-    with pytest.raises(ValueError):
-        count_connected_integral_bruteforce(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)
-
-
-def test_bruteforce_refusal_names_n_tau_and_the_limit(monkeypatch):
-    import circdeg.integral as integral_module
-
     with pytest.raises(ValueError, match=(
         r"^n = 223092870 has 512 divisors, over the enumeration limit of 24$"
     )):
-        count_connected_integral_bruteforce(223092870)
+        count_connected_integral_bruteforce(2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)
+
+
+def test_bruteforce_limit_boundary(monkeypatch):
+    import circdeg.integral as integral_module
+
+    assert tau(360) == 24  # the real bound: 2^23 gcds
     assert count_connected_integral_bruteforce(360) == count_connected_integral(360)
 
     monkeypatch.setattr(integral_module, "_ENUMERATION_TAU_BOUND", 4)
