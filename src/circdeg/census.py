@@ -22,7 +22,7 @@ import numpy as np
 
 from .circulant import (
     ConnectionSet,
-    _fixers,
+    _prime_fixers,
     algebraic_degree,
     coset_union,
     fixing_subgroup,
@@ -57,16 +57,16 @@ NAIVE_ORDER_LIMIT = 12
 
 @dataclass(frozen=True)
 class CensusRecord:
-    """Result of a census: an exact count or a bound, with optional witnesses.
+    """Result of a census: an exact count, with optional witnesses.
 
     Witnesses, when materialized, are canonical connection sets of degree
-    exactly d, connected, pairwise non-isomorphic; for kind 'exact' the
-    value equals the witness count whenever witnesses are materialized.
+    exactly d, connected, pairwise non-isomorphic, and the value equals
+    their count.
     """
 
     n: int
     d: int
-    kind: str  # "exact" | "lower_bound" | "upper_bound"
+    kind: str  # "exact", the one kind prime_census and naive_census produce
     value: int
     witnesses: tuple[ConnectionSet, ...]
     method: str
@@ -283,7 +283,7 @@ def prime_census(p: int, d: int) -> CensusRecord:
         _, indices = np.nonzero(held)
         indices = indices.reshape(-1, size)
         symbols = np.sort(cosets[indices].reshape(len(indices), -1), axis=1)
-        keeps = np.array([f == subgroup.elements for f in _fixers(p, symbols)])
+        keeps = np.array([f == subgroup.elements for f in _prime_fixers(p, symbols)])
         wrong = np.flatnonzero(keeps != aperiodic[group])
         if wrong.size:
             mask = int(masks[group][wrong[0]])
@@ -429,14 +429,6 @@ def _coprime_chain(
     if with_primes:
         wanted.update(q for q in divisors(d) if q != 1 and is_prime(q))
     return [chain[:m] for m in sorted(wanted)]
-
-
-def lower_bound_census(n: int, d: int) -> CensusRecord:
-    """The lower bound packaged as a CensusRecord with its witness family."""
-    value, rule = lower_bound(n, d)
-    return CensusRecord(
-        n, d, "lower_bound", value, witness_family(n, d), f"lower-bound:{rule}"
-    )
 
 
 def power_sum_nonvanishing(p: int, d: int, m: int) -> bool:

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .numtheory import euler_phi, is_prime, smallest_prime_1_mod_2d
+from .numtheory import euler_phi, smallest_prime_1_mod_2d
 from .unitgroup import (
     ConstructionError,
     Subgroup,
@@ -257,21 +257,6 @@ def _prime_fixers(p: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(f[:c]) for f, c in zip(fixers, hits.sum(axis=1).tolist())]
 
 
-def _fixers(n: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
-    """For each sorted int64 row S of the (B, L) symbols, the ascending units
-    k with k*S = S setwise: its mappers onto itself (_mappers), except for
-    L = 0, where they are all the units, and for a batch at prime n, whose
-    rows are one class each and are confirmed together (_prime_fixers).
-    Both limits are checked before any work; _confirmed chooses the lookups.
-    """
-    if not symbols.shape[1]:
-        _check_listed(n, euler_phi(n))
-        return [units(n)] * len(symbols)
-    if len(symbols) > 1 and is_prime(n):
-        return _prime_fixers(n, symbols)
-    return [_mappers(n, row, row) for row in symbols.tolist()]
-
-
 def _lex_min(rows: np.ndarray) -> np.ndarray:
     """The lexicographically least row of an int64 (M, L) array: (L,).
 
@@ -293,7 +278,8 @@ _last_scan: Optional[tuple[ConnectionSet, Subgroup]] = None
 
 
 def fixing_subgroup(symbol: ConnectionSet) -> Subgroup:
-    """All units k with k*S = S setwise; the whole unit group for empty S.
+    """All units k with k*S = S setwise (_mappers of S onto itself); the
+    whole unit group for empty S.
 
     Raises ValueError, before any work, past the scan's limits on the
     modulus and on the candidates listed.  The last result is kept for the
@@ -304,8 +290,13 @@ def fixing_subgroup(symbol: ConnectionSet) -> Subgroup:
     global _last_scan
     last = _last_scan  # read once: another thread may replace it
     if last is None or last[0] is not symbol:
-        symbols = np.array([symbol.elements], dtype=np.int64)
-        last = (symbol, Subgroup(symbol.n, _fixers(symbol.n, symbols)[0]))
+        n, elements = symbol.n, symbol.elements
+        if elements:
+            fixers = _mappers(n, elements, elements)
+        else:
+            _check_listed(n, euler_phi(n))
+            fixers = units(n)
+        last = (symbol, Subgroup(n, fixers))
         _last_scan = last
     return last[1]
 

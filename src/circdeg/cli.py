@@ -7,7 +7,8 @@ counts), verify (the fast or full verification suite).
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or malformed input (every
 input the library rejects with ValueError, e.g. a modulus above 2^63 - 1, and
-an unusable cache path), 3 internal disagreement between independent routes,
+an unusable cache path), 3 internal disagreement between independent routes
+or a construction that contradicts a computed result (ConstructionError),
 4 golden-table mismatch.
 """
 
@@ -37,7 +38,8 @@ from .integral import (
     count_connected_integral,
     count_connected_integral_bruteforce,
 )
-from .mintable import TableRow, _table_orders, degree_table
+from .mintable import TableRow, _table_orders, _witnessed
+from .unitgroup import ConstructionError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -186,44 +188,33 @@ def cmd_deg(args) -> int:
 
 
 def cmd_table(args) -> int:
-    try:
-        rows = degree_table(args.d_max)
-    except ValueError:
-        # A wrong C(d) admits no witness of degree d, so its construction
-        # refuses before the check below can run; with --check, name that row.
-        d_check = min(args.d_max, 100)
-        mismatch = args.check and table_mismatch(_table_orders(args.d_max)[:d_check], d_check)
-        if not mismatch:
-            raise
-        print(
-            f"error: computed table deviates from the published table: {mismatch}",
-            file=sys.stderr,
-        )
-        return EXIT_GOLDEN_MISMATCH
-    row_dicts = [_row_dict(r) for r in rows]
-    if args.format == "json":
-        print(json.dumps(row_dicts, indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(table_csv(rows))
-    status = EXIT_OK
+    orders = _table_orders(args.d_max)
+    # The check compares the scanned orders, before any witness is built,
+    # so a mismatch prints no row and caches nothing.
+    d_check = min(args.d_max, 100)
     if args.check:
-        d_check = min(args.d_max, 100)
-        mismatch = table_mismatch(rows[:d_check], d_check)
+        mismatch = table_mismatch(orders[:d_check], d_check)
         if mismatch is not None:
             print(
                 f"error: computed table deviates from the published table: {mismatch}",
                 file=sys.stderr,
             )
-            status = EXIT_GOLDEN_MISMATCH
-        else:
-            print(f"check ok: {d_check} rows match the published table", file=sys.stderr)
+            return EXIT_GOLDEN_MISMATCH
+    rows = [_witnessed(order) for order in orders]
+    row_dicts = [_row_dict(r) for r in rows]
+    if args.format == "json":
+        print(json.dumps(row_dicts, indent=2, sort_keys=True))
+    else:
+        sys.stdout.write(table_csv(rows))
+    if args.check:
+        print(f"check ok: {d_check} rows match the published table", file=sys.stderr)
     _cache_result(
         args,
         "table",
         {"d_max": args.d_max, "format": args.format, "check": args.check},
-        {"rows": row_dicts, "check_passed": status == EXIT_OK},
+        {"rows": row_dicts, "check_passed": True},
     )
-    return status
+    return EXIT_OK
 
 
 def _encoded_witnesses(record: CensusRecord) -> list[str]:
@@ -260,12 +251,14 @@ def cmd_census(args) -> int:
 
 
 def cmd_integral(args) -> int:
+    # Both counts before any output, so that a refused enumeration prints
+    # no partial result.
     count = count_connected_integral(args.n)
+    brute = count_connected_integral_bruteforce(args.n) if args.brute else None
     print(f"count {count}")
     payload: dict[str, Any] = {"count": count}
     status = EXIT_OK
     if args.brute:
-        brute = count_connected_integral_bruteforce(args.n)
         payload["brute"] = brute
         print(f"brute {brute}")
         if brute != count:
@@ -365,6 +358,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ConstructionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -110,22 +110,30 @@ def _table_orders(d_max: int) -> tuple[_Order, ...]:
 
 
 def _witnessed(order: _Order) -> TableRow:
-    """The row with its verified witness of degree d on C(d) vertices."""
-    if order.d == 1:
-        witness = ConnectionSet(1, ())
-    else:
-        witness = regular_construction(order.c_of_d, order.d)
-    return TableRow(*order, witness)
+    """The row with its verified witness of degree d on C(d) vertices.
+
+    Raises ConstructionError, naming d and C(d), when the construction
+    refuses the scanned order: then the scan and the construction disagree.
+    """
+    d, c = order.d, order.c_of_d
+    if d == 1:
+        return TableRow(*order, ConnectionSet(1, ()))
+    try:
+        return TableRow(*order, regular_construction(c, d))
+    except (ValueError, ConstructionError) as exc:
+        raise ConstructionError(f"no degree-{d} witness on C({d}) = {c} vertices: {exc}") from exc
 
 
 def degree_table(d_max: int) -> tuple[TableRow, ...]:
     """Rows for d = 1..d_max, each with a verified minimal-order witness.
 
-    Raises ValueError, before any work, for d_max above _MAX_TABLE_DEGREE.
+    Raises ValueError, before any work, for d_max above _MAX_TABLE_DEGREE,
+    and ConstructionError for a row whose witness cannot be built.
     """
     return tuple(map(_witnessed, _table_orders(d_max)))
 
 
 def strict_rows(d_max: int) -> tuple[int, ...]:
-    """All degrees up to d_max where the minimal order beats the prime bound."""
-    return tuple(r.d for r in degree_table(d_max) if r.strict)
+    """All degrees up to d_max where the minimal order beats the prime bound;
+    read off the scanned orders, without building witnesses."""
+    return tuple(r.d for r in _table_orders(d_max) if r.strict)

@@ -12,7 +12,6 @@ from circdeg.census import (
     canonical_form,
     exact_count_prime_degree,
     lower_bound,
-    lower_bound_census,
     multiplier_orbit_check,
     naive_census,
     power_sum_nonvanishing,
@@ -250,15 +249,15 @@ def test_benchmark_censuses_stay_far_below_the_work_limit():
 
 
 def test_prime_census_catches_a_wrong_fixing_subgroup(monkeypatch):
-    scan = census._fixers
+    scan = census._prime_fixers
 
-    def drop_one_unit(n, symbols):
-        fixers = scan(n, symbols)
+    def drop_one_unit(p, symbols):
+        fixers = scan(p, symbols)
         if symbols.shape[1] == 4:  # the unions of two cosets of {1, 10} mod 11
             fixers[-1] = fixers[-1][1:]
         return fixers
 
-    monkeypatch.setattr(census, "_fixers", drop_one_unit)
+    monkeypatch.setattr(census, "_prime_fixers", drop_one_unit)
     # the two-coset orbits are led by the masks 11 and 101
     with pytest.raises(ConstructionError, match=r"p=11, d=5, mask=101$"):
         prime_census(11, 5)
@@ -415,13 +414,6 @@ def test_multiplier_orbit_check_flags_equivalent_witnesses():
     assert not multiplier_orbit_check(record)
     honest = CensusRecord(11, 5, "exact", 2, (first, other), "test")
     assert multiplier_orbit_check(honest)
-
-
-def test_lower_bound_census_record():
-    rec = lower_bound_census(35, 6)
-    assert rec.kind == "lower_bound" and rec.value == 4
-    assert len(rec.witnesses) == 4
-    assert rec.method.startswith("lower-bound:")
 
 
 def test_power_sum_examples():

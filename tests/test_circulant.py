@@ -23,7 +23,7 @@ from circdeg.circulant import (
     parse_connection_set,
     regular_construction,
 )
-from circdeg.numtheory import divisors, euler_phi
+from circdeg.numtheory import divisors, euler_phi, is_prime
 from circdeg.unitgroup import Subgroup, inverse_symmetric_subgroup, units
 
 
@@ -367,9 +367,14 @@ def test_batched_scans_match_multiplier_images(monkeypatch, block):
                 tuple(sorted(rng.sample(range(1, n), size)))
                 for _ in range(rng.randint(1, 9))
             ]
-            symbols = np.array(batch, dtype=np.int64).reshape(len(batch), size)
             reference = [reference_batch_scan(n, elements) for elements in batch]
-            assert circulant._fixers(n, symbols) == [f for f, _ in reference]
+            # a batch at prime n is one scan, as in the census; every row is
+            # also scanned alone, as a fresh symbol object
+            if size and is_prime(n):
+                symbols = np.array(batch, dtype=np.int64)
+                assert circulant._prime_fixers(n, symbols) == [f for f, _ in reference]
+            fixers = [fixing_subgroup(ConnectionSet(n, row)).elements for row in batch]
+            assert fixers == [f for f, _ in reference]
             least = [least_multiplier_image(ConnectionSet(n, row)) for row in batch]
             assert [image.elements for image in least] == [m for _, m in reference]
 
@@ -404,7 +409,7 @@ def test_early_rejection_matches_reference_fixers(monkeypatch, block):
                 half = rng.sample(range(1, (p + 1) // 2), pairs)
                 batch.append(tuple(sorted(x for s in half for x in (s, p - s))))
             first = len(steps)
-            got = circulant._fixers(p, np.array(batch, dtype=np.int64))
+            got = circulant._prime_fixers(p, np.array(batch, dtype=np.int64))
             assert got == [reference_fixers(ConnectionSet(p, row)) for row in batch], p
             width = 2 * pairs
             if pairs == 12:  # far fewer lookups than all |S|^2 products per symbol
@@ -413,8 +418,7 @@ def test_early_rejection_matches_reference_fixers(monkeypatch, block):
     for n in (91, 720, 1001, 2310):
         for _ in range(5):
             symbol = random_symbol(rng, n)
-            rows = np.array([symbol.elements], dtype=np.int64)
-            assert circulant._fixers(n, rows) == [reference_fixers(symbol)], symbol.encode()
+            assert fixing_subgroup(symbol).elements == reference_fixers(symbol), symbol.encode()
     if block is not None:
         assert all(c * k <= block or k == 1 for c, k in steps)
         assert sum(c * k for c, k in steps) > 10 * block
@@ -459,10 +463,10 @@ def test_prime_batch_listing_limit_boundary(monkeypatch):
     # each row of a batch at prime 13 lists its |S| = 2 candidates
     symbols = np.array([[1, 12], [5, 8]], dtype=np.int64)
     monkeypatch.setattr(circulant, "_MAX_LISTED_UNITS", 2)
-    assert circulant._fixers(13, symbols) == [(1, 12), (1, 12)]
+    assert circulant._prime_fixers(13, symbols) == [(1, 12), (1, 12)]
     monkeypatch.setattr(circulant, "_MAX_LISTED_UNITS", 1)
     with pytest.raises(ValueError, match="would list 2 candidate units, over the limit of 1"):
-        circulant._fixers(13, symbols)
+        circulant._prime_fixers(13, symbols)
 
 
 def test_multiplier_questions_list_no_units_at_large_moduli(monkeypatch):
@@ -538,10 +542,10 @@ def test_fixer_scan_picks_the_lookup_for_its_batch(monkeypatch):
         raise AssertionError("took the other membership path")
 
     # a lone symbol: 8 lookups expected, far too few for a table of 10^7 cells
-    lone = np.array([[1, 10000018]], dtype=np.int64)
+    lone = ConnectionSet(10000019, (1, 10000018))
     with monkeypatch.context() as patch:
         patch.setattr(np, "zeros", refuse)
-        assert circulant._fixers(10000019, lone) == [(1, 10000018)]
+        assert fixing_subgroup(lone).elements == (1, 10000018)
     # a census-sized batch at p = 73: its B*p cells pay for themselves
     rng = random.Random(73)
     batch = []
@@ -550,7 +554,7 @@ def test_fixer_scan_picks_the_lookup_for_its_batch(monkeypatch):
         batch.append(tuple(sorted(x for s in half for x in (s, 73 - s))))
     with monkeypatch.context() as patch:
         patch.setattr(np, "searchsorted", refuse)
-        got = circulant._fixers(73, np.array(batch, dtype=np.int64))
+        got = circulant._prime_fixers(73, np.array(batch, dtype=np.int64))
     assert got == [reference_fixers(ConnectionSet(73, row)) for row in batch]
 
 

@@ -79,7 +79,7 @@ def test_table_check_passes(capsys):
     assert "100 rows match" in err
 
 
-def test_table_check_detects_mismatch(capsys, monkeypatch):
+def test_table_check_detects_mismatch(capsys, monkeypatch, tmp_path):
     import circdeg.golden as golden_module
 
     good = golden_module.golden_rows
@@ -91,10 +91,16 @@ def test_table_check_detects_mismatch(capsys, monkeypatch):
         return tuple(rows)
 
     monkeypatch.setattr(golden_module, "golden_rows", corrupted)
-    code, _, err = run(capsys, "table", "10", "--check")
-    assert code == EXIT_GOLDEN_MISMATCH
-    assert "deviates" in err
-    assert "d = 4" in err
+    # the check runs before any row is printed or cached
+    cache = tmp_path / "cache.jsonl"
+    for fmt in ("csv", "json"):
+        argv = ["--cache", str(cache), "table", "10", "--check", "--format", fmt]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_GOLDEN_MISMATCH
+        assert out == ""
+        assert "deviates" in err
+        assert "d = 4" in err
+    assert not cache.exists()
 
 
 def test_table_check_names_the_row_a_wrong_scan_gets(capsys, monkeypatch):
@@ -108,10 +114,14 @@ def test_table_check_names_the_row_a_wrong_scan_gets(capsys, monkeypatch):
         "error: computed table deviates from the published table: row d = 2: "
         "computed (C, p, strict) = (4, 5, True), published (5, 5, False)\n"
     )
-    # Unchecked, the refusal stands as it is.
-    code, _, err = run(capsys, "table", "100")
-    assert code == EXIT_USAGE
-    assert "does not divide phi(4)/2" in err
+    # Unchecked, the refused construction names the row it disagrees with.
+    code, out, err = run(capsys, "table", "100")
+    assert code == EXIT_DISAGREEMENT
+    assert out == ""
+    assert err == (
+        "error: no degree-2 witness on C(2) = 4 vertices: "
+        "2 does not divide phi(4)/2 = 1\n"
+    )
 
 
 def test_table_usage_error(capsys):
@@ -153,6 +163,24 @@ def test_census_command(capsys):
     assert code == EXIT_OK and "count 3" in out
 
 
+def test_census_coset_model_mismatch_exits_3(capsys, monkeypatch):
+    import circdeg.census as census_module
+
+    scan = census_module._prime_fixers
+
+    def drop_one_unit(p, symbols):
+        fixers = scan(p, symbols)
+        if symbols.shape[1] == 4:  # the unions of two cosets of {1, 10} mod 11
+            fixers[-1] = fixers[-1][1:]
+        return fixers
+
+    monkeypatch.setattr(census_module, "_prime_fixers", drop_one_unit)
+    code, out, err = run(capsys, "census", "11", "5")
+    assert code == EXIT_DISAGREEMENT
+    assert out == ""
+    assert err == "error: coset model mismatch at p=11, d=5, mask=101\n"
+
+
 def test_census_usage_errors(capsys):
     assert run(capsys, "census", "15", "2")[0] == EXIT_USAGE
     assert run(capsys, "census", "13", "4")[0] == EXIT_USAGE
@@ -192,11 +220,13 @@ def test_integral_brute_sees_a_dropped_divisor(capsys, monkeypatch):
     assert "disagrees" in err
 
 
-def test_integral_brute_over_the_enumeration_limit_exits_2(capsys):
-    code, out, err = run(capsys, "integral", "223092870", "--brute")
+def test_integral_brute_over_the_enumeration_limit_exits_2(capsys, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    code, out, err = run(capsys, "--cache", str(cache), "integral", "223092870", "--brute")
     assert code == EXIT_USAGE
-    assert out.startswith("count ")
+    assert out == ""
     assert err == "error: n = 223092870 has 512 divisors, over the enumeration limit of 24\n"
+    assert not cache.exists()
 
 
 def test_deg_oracle_disagreement_exit_code(capsys, monkeypatch):
@@ -282,14 +312,15 @@ def test_deg_listed_units_limit_boundary(capsys, monkeypatch, symbol, count):
 def test_deg_runs_one_fixer_scan(capsys, monkeypatch, argv):
     import circdeg.circulant as circulant_module
 
-    scan = circulant_module._fixers
+    # every scan checks its limits exactly once, before any work
+    check = circulant_module._check_listed
     calls = []
 
-    def counted(n, symbols):
+    def counted(n, count):
         calls.append(n)
-        return scan(n, symbols)
+        return check(n, count)
 
-    monkeypatch.setattr(circulant_module, "_fixers", counted)
+    monkeypatch.setattr(circulant_module, "_check_listed", counted)
     for _ in range(2):  # the same text again is a new symbol, scanned afresh
         before = len(calls)
         code, out, _ = run(capsys, "deg", *argv)

@@ -150,3 +150,12 @@ def test_strict_rows():
     expected = tuple(d for d, c, p in GOLDEN_TABLE if c < p)
     assert strict_rows(100) == expected
     assert len(expected) == 28
+
+
+def test_strict_rows_build_no_witness(monkeypatch):
+    def refuse(n, d):
+        raise AssertionError(f"built a witness for ({n}, {d})")
+
+    monkeypatch.setattr(mintable, "regular_construction", refuse)
+    expected = tuple(d for d, c, p in GOLDEN_TABLE if c < p)
+    assert strict_rows(100) == expected and len(expected) == 28
