@@ -22,7 +22,7 @@ import numpy as np
 
 from .circulant import (
     ConnectionSet,
-    _prime_fixers,
+    _unit_fixers,
     algebraic_degree,
     coset_union,
     fixing_subgroup,
@@ -276,6 +276,7 @@ def prime_census(p: int, d: int) -> CensusRecord:
     sizes = bits.sum(axis=1)
     weight = _coset_weights(cosets)
     rotate = weight[np.add.outer(np.arange(d), np.arange(d)) % d]
+    base = np.array(subgroup.elements, dtype=np.int64)
     witnesses: list[ConnectionSet] = []
     for size in range(1, d):
         group = sizes == size
@@ -283,7 +284,8 @@ def prime_census(p: int, d: int) -> CensusRecord:
         _, indices = np.nonzero(held)
         indices = indices.reshape(-1, size)
         symbols = np.sort(cosets[indices].reshape(len(indices), -1), axis=1)
-        keeps = np.array([f == subgroup.elements for f in _prime_fixers(p, symbols)])
+        fixers, counts = _unit_fixers(p, symbols)
+        keeps = (counts == len(subgroup)) & (fixers[:, :len(subgroup)] == base).all(axis=1)
         wrong = np.flatnonzero(keeps != aperiodic[group])
         if wrong.size:
             mask = int(masks[group][wrong[0]])

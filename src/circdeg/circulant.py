@@ -34,6 +34,7 @@ _MAX_LISTED_UNITS = 1 << 24  # candidate units one fixer scan may list
 _MIN_ROUND_PRODUCTS = 1 << 12  # products a confirmation round takes at least, if there are that many
 _TABLE_CELLS_PER_LOOKUP = 512  # most cells a membership table may fill per lookup
 _MAX_MEMBER_TABLE = 1 << 24  # bytes: twice a block of int64 products
+_MAX_MEMBER_BOUND = (1 << 63) - 1  # a batch's shifted residues lie below the sum of its moduli
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ def _lifts(n: int, m: int, residues: np.ndarray, lo: int, hi: int) -> np.ndarray
 
 
 def _confirmed(
-    n: int,
+    n: int | np.ndarray,
     symbols: np.ndarray,
     targets: np.ndarray,
     k: np.ndarray,
@@ -191,9 +192,11 @@ def _confirmed(
 ) -> np.ndarray:
     """The positions, ascending, of the candidates k[i] that map the sorted
     row S = symbols[row[i]] into targets[row[i]] (row 0 for all when row is
-    None); column `pivot` of S is looked up last.  One _membership of the
-    targets, row r shifted by r*n when row is given, takes every lookup; it
-    is sized for a few per non-fixer and all |S| for the fixers +-1.
+    None); column `pivot` of S is looked up last.  n is the modulus of every
+    row, or (on the row path) an int64 array of one modulus per row.  One
+    _membership of the targets, row r shifted by the sum of the moduli of
+    the rows before it when row is given, takes every lookup; it is sized
+    for a few per non-fixer and all |S| for the fixers +-1.
 
     Early rejection: each round looks up a block of the next columns of S
     for the candidates that passed every earlier round, and drops those with
@@ -207,11 +210,16 @@ def _confirmed(
     """
     width = symbols.shape[1]
     lookups = min(width, 3) * len(k) + 2 * symbols.size
+    mixed = np.ndim(n) == 1
     if row is None:
         contains = _membership(targets[0], n, lookups)
     else:
-        offsets = np.arange(0, len(targets) * n, n, dtype=np.int64)[:, None]
-        contains = _membership((targets + offsets).ravel(), len(targets) * n, lookups)
+        if mixed:
+            ends = np.cumsum(n)
+            offsets, bound, modulus = ends - n, int(ends[-1]), n[row]
+        else:
+            offsets, bound = np.arange(0, len(targets) * n, n, dtype=np.int64), len(targets) * n
+        contains = _membership((targets + offsets[:, None]).ravel(), bound, lookups)
     # the columns of S as rows, the pivot's last
     ordered = np.concatenate((symbols[:, pivot + 1:].T, symbols[:, :pivot + 1].T))
     index = np.arange(len(k))
@@ -228,33 +236,52 @@ def _confirmed(
                 images %= n
             else:
                 images = block[:, row[part]] * k[part]
-                images %= n
-                images += row[part] * n
+                images %= modulus[part] if mixed else n
+                images += offsets[row[part]]
             ok[part] = contains(images).all(axis=0)
         index, k = index[ok], k[ok]
         if row is not None:
             row = row[ok]
+            if mixed:
+                modulus = modulus[ok]
         lo += size
         size *= 4
     return index
 
 
-def _prime_fixers(p: int, symbols: np.ndarray) -> list[tuple[int, ...]]:
-    """The fixers of (B, L) nonempty symbols at prime p, all at once.
+def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fixers of (B, L) nonempty symbols made only of units, all at once.
 
-    Every element is a unit, so each row S is one class and its candidates
-    are S * s0^-1 for s0 = S[0]; no unit is listed and nothing is sorted
-    but the fixers found.
+    n is the modulus of every row (an int, as in the census) or an int64
+    array of one modulus per row (as in the table).  Returns two int64
+    arrays: (B, L) the fixers of each row ascending, padded with the row's
+    modulus, and (B,) the fixer count of each row.
+
+    A unit k that fixes S maps s0 = S[0] into S, so the candidates of row S
+    are S * s0^-1, all units; no unit is listed and nothing is sorted but
+    the fixers found.  Raises ValueError, before any work, past the scan's
+    limits on a modulus and on the candidates listed per row, and when the
+    membership bound (the sum of the rows' moduli) is over
+    _MAX_MEMBER_BOUND, past which the shifted residues leave int64.
     """
     count, width = symbols.shape
-    _check_listed(p, width)
-    inverse = np.array([pow(s, -1, p) for s in symbols[:, 0].tolist()], dtype=np.int64)
-    candidates = symbols * inverse[:, None] % p
+    mixed = np.ndim(n) == 1
+    moduli = n.tolist() if mixed else [n] * count
+    _check_listed(max(moduli, default=0), width)
+    bound = sum(moduli)
+    if bound > _MAX_MEMBER_BOUND:
+        raise ValueError(
+            f"fixer batch of {count} rows would look up residues below {bound}, "
+            f"over the limit of {_MAX_MEMBER_BOUND}"
+        )
+    column = n[:, None] if mixed else n
+    first = symbols[:, 0].tolist()
+    inverse = np.array([pow(s, -1, m) for s, m in zip(first, moduli)], dtype=np.int64)
+    candidates = symbols * inverse[:, None] % column
     row = np.repeat(np.arange(count), width)
     hits = np.zeros(candidates.shape, dtype=bool)
-    hits.flat[_confirmed(p, symbols, symbols, candidates.ravel(), 0, row)] = True
-    fixers = np.sort(np.where(hits, candidates, p), axis=1).tolist()
-    return [tuple(f[:c]) for f, c in zip(fixers, hits.sum(axis=1).tolist())]
+    hits.flat[_confirmed(n, symbols, symbols, candidates.ravel(), 0, row)] = True
+    return np.sort(np.where(hits, candidates, column), axis=1), hits.sum(axis=1)
 
 
 def _lex_min(rows: np.ndarray) -> np.ndarray:
@@ -415,15 +442,67 @@ def regular_construction(n: int, d: int) -> ConnectionSet:
     """A phi(n)/d-regular circulant graph on n vertices with degree exactly d.
 
     Takes an inverse-symmetric subgroup of order phi(n)/d as the connection
-    set; requires d to divide phi(n)/2.
+    set; requires d to divide phi(n)/2.  Its degree is checked as a table's
+    witnesses are, by a batch of one (_regular_constructions): the subgroup
+    must have exactly phi(n)/d fixers.
     """
+    built, refusal = _regular_constructions([(n, d)])
+    if refusal is not None:
+        raise refusal
+    return built[0]
+
+
+def _subgroup_symbol(n: int, d: int) -> tuple[ConnectionSet, int]:
+    """The connection set of regular_construction(n, d), degree unchecked,
+    and phi(n)."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     phi = euler_phi(n)
     if d < 1 or (phi // 2) % d != 0:
         raise ValueError(f"{d} does not divide phi({n})/2 = {phi // 2}")
-    subgroup = inverse_symmetric_subgroup(n, phi // d)
-    symbol = make_connection_set(n, subgroup.elements)
-    if algebraic_degree(symbol) != d:
-        raise ConstructionError(f"subgroup construction ({n}, {d}) failed")
-    return symbol
+    return make_connection_set(n, inverse_symmetric_subgroup(n, phi // d).elements), phi
+
+
+def _regular_constructions(
+    pairs: Sequence[tuple[int, int]],
+) -> tuple[list[ConnectionSet], Optional[Exception]]:
+    """regular_construction(n, d) for every pair, degrees checked in one
+    _unit_fixers scan per valency.
+
+    Returns the symbols of the pairs before the lowest-index pair that
+    fails, and that pair's refusal, the exception regular_construction
+    raises for it alone (None when every pair passes).  A pair fails to
+    build (ValueError, or ConstructionError from inverse_symmetric_subgroup)
+    or fails the degree check: its subgroup H must have exactly
+    |Fix(H)| = phi(n)/d fixers.  No pair after the first that fails to build
+    is built.
+    """
+    built: list[ConnectionSet] = []
+    phis: list[int] = []
+    refusal: Optional[Exception] = None
+    for n, d in pairs:
+        try:
+            symbol, phi = _subgroup_symbol(n, d)
+        except (ValueError, ConstructionError) as exc:
+            refusal = exc
+            break
+        built.append(symbol)
+        phis.append(phi)
+    moduli = np.array([symbol.n for symbol in built], dtype=np.int64)
+    degrees = np.array([d for _, d in pairs[:len(built)]], dtype=np.int64)
+    totients = np.array(phis, dtype=np.int64)
+    groups: dict[int, list[int]] = {}
+    for i, symbol in enumerate(built):
+        groups.setdefault(symbol.valency(), []).append(i)
+    wrong = len(built)
+    for group in groups.values():
+        rows = np.array(group)
+        symbols = np.array([built[i].elements for i in group], dtype=np.int64)
+        _, counts = _unit_fixers(moduli[rows], symbols)
+        failed = rows[counts * degrees[rows] != totients[rows]]
+        if failed.size:
+            wrong = min(wrong, int(failed[0]))
+    if wrong < len(built):
+        n, d = pairs[wrong]
+        return built[:wrong], ConstructionError(f"subgroup construction ({n}, {d}) failed")
+    return built, refusal

@@ -200,7 +200,7 @@ def cmd_table(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_GOLDEN_MISMATCH
-    rows = [_witnessed(order) for order in orders]
+    rows = _witnessed(orders)
     row_dicts = [_row_dict(r) for r in rows]
     if args.format == "json":
         print(json.dumps(row_dicts, indent=2, sort_keys=True))

@@ -5,7 +5,10 @@ found by an ascending scan over n in blocks (the scan is bounded because the
 smallest prime p = 1 mod 2d always qualifies); a table resolves all its
 degrees in one scan, each block against every pending degree at once.
 C(1) = 1: the one-vertex graph is already integral.  Each table row carries
-a verified witness graph of degree exactly d on C(d) vertices.
+a verified witness graph of degree exactly d on C(d) vertices: the
+inverse-symmetric subgroup of order phi(C(d))/d, built for every row and
+then checked, for all rows at once, by one batched fixer scan per valency
+(circulant._regular_constructions) to have exactly phi(C(d))/d fixers.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .circulant import ConnectionSet, regular_construction
+from .circulant import ConnectionSet, _regular_constructions
 from .numtheory import MAX_INPUT, euler_phi, smallest_prime_1_mod_2d
 from .unitgroup import ConstructionError
 
@@ -109,28 +112,34 @@ def _table_orders(d_max: int) -> tuple[_Order, ...]:
     return tuple(rows)
 
 
-def _witnessed(order: _Order) -> TableRow:
-    """The row with its verified witness of degree d on C(d) vertices.
+def _witnessed(orders: tuple[_Order, ...]) -> tuple[TableRow, ...]:
+    """The rows with their verified witnesses of degree d on C(d) vertices,
+    built and checked in one batch (circulant._regular_constructions).
 
-    Raises ConstructionError, naming d and C(d), when the construction
-    refuses the scanned order: then the scan and the construction disagree.
+    Raises ConstructionError, naming d and C(d) of the lowest row whose
+    construction refuses the scanned order: then the scan and the
+    construction disagree.
     """
-    d, c = order.d, order.c_of_d
-    if d == 1:
-        return TableRow(*order, ConnectionSet(1, ()))
-    try:
-        return TableRow(*order, regular_construction(c, d))
-    except (ValueError, ConstructionError) as exc:
-        raise ConstructionError(f"no degree-{d} witness on C({d}) = {c} vertices: {exc}") from exc
+    constructed = [o for o in orders if o.d > 1]  # C(1) = 1: the one-vertex graph
+    witnesses, refusal = _regular_constructions([(o.c_of_d, o.d) for o in constructed])
+    if refusal is not None:
+        d, c = constructed[len(witnesses)].d, constructed[len(witnesses)].c_of_d
+        raise ConstructionError(
+            f"no degree-{d} witness on C({d}) = {c} vertices: {refusal}"
+        ) from refusal
+    built = iter(witnesses)
+    return tuple(
+        TableRow(*o, next(built) if o.d > 1 else ConnectionSet(1, ())) for o in orders
+    )
 
 
 def degree_table(d_max: int) -> tuple[TableRow, ...]:
     """Rows for d = 1..d_max, each with a verified minimal-order witness.
 
     Raises ValueError, before any work, for d_max above _MAX_TABLE_DEGREE,
-    and ConstructionError for a row whose witness cannot be built.
+    and ConstructionError for the lowest row whose witness cannot be built.
     """
-    return tuple(map(_witnessed, _table_orders(d_max)))
+    return _witnessed(_table_orders(d_max))
 
 
 def strict_rows(d_max: int) -> tuple[int, ...]:

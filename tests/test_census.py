@@ -249,15 +249,16 @@ def test_benchmark_censuses_stay_far_below_the_work_limit():
 
 
 def test_prime_census_catches_a_wrong_fixing_subgroup(monkeypatch):
-    scan = census._prime_fixers
+    scan = census._unit_fixers
 
     def drop_one_unit(p, symbols):
-        fixers = scan(p, symbols)
+        fixers, counts = scan(p, symbols)
         if symbols.shape[1] == 4:  # the unions of two cosets of {1, 10} mod 11
-            fixers[-1] = fixers[-1][1:]
-        return fixers
+            fixers[-1] = np.append(fixers[-1, 1:], p)
+            counts[-1] -= 1
+        return fixers, counts
 
-    monkeypatch.setattr(census, "_prime_fixers", drop_one_unit)
+    monkeypatch.setattr(census, "_unit_fixers", drop_one_unit)
     # the two-coset orbits are led by the masks 11 and 101
     with pytest.raises(ConstructionError, match=r"p=11, d=5, mask=101$"):
         prime_census(11, 5)

@@ -345,6 +345,16 @@ def test_pruned_scan_misses_fixers_from_the_first_lift_alone(monkeypatch):
         check_pruned_scan()
 
 
+def unit_fixer_tuples(n, symbols):
+    """circulant._unit_fixers as one tuple of fixers per row, after checking
+    that each row is padded with its modulus."""
+    fixers, counts = circulant._unit_fixers(n, symbols)
+    moduli = np.broadcast_to(n, len(symbols)).tolist()
+    rows = zip(fixers.tolist(), counts.tolist(), moduli)
+    assert all(f[c:] == [m] * (len(f) - c) for f, c, m in rows)
+    return [tuple(f[:c]) for f, c in zip(fixers.tolist(), counts.tolist())]
+
+
 def reference_batch_scan(n, elements):
     """Fixers and least image of one residue set, from multiplier_image alone."""
     symbol = ConnectionSet(n, elements)
@@ -372,7 +382,7 @@ def test_batched_scans_match_multiplier_images(monkeypatch, block):
             # also scanned alone, as a fresh symbol object
             if size and is_prime(n):
                 symbols = np.array(batch, dtype=np.int64)
-                assert circulant._prime_fixers(n, symbols) == [f for f, _ in reference]
+                assert unit_fixer_tuples(n, symbols) == [f for f, _ in reference]
             fixers = [fixing_subgroup(ConnectionSet(n, row)).elements for row in batch]
             assert fixers == [f for f, _ in reference]
             least = [least_multiplier_image(ConnectionSet(n, row)) for row in batch]
@@ -409,7 +419,7 @@ def test_early_rejection_matches_reference_fixers(monkeypatch, block):
                 half = rng.sample(range(1, (p + 1) // 2), pairs)
                 batch.append(tuple(sorted(x for s in half for x in (s, p - s))))
             first = len(steps)
-            got = circulant._prime_fixers(p, np.array(batch, dtype=np.int64))
+            got = unit_fixer_tuples(p, np.array(batch, dtype=np.int64))
             assert got == [reference_fixers(ConnectionSet(p, row)) for row in batch], p
             width = 2 * pairs
             if pairs == 12:  # far fewer lookups than all |S|^2 products per symbol
@@ -459,14 +469,50 @@ def test_kept_scan_is_per_symbol_object_across_threads():
     )
 
 
-def test_prime_batch_listing_limit_boundary(monkeypatch):
-    # each row of a batch at prime 13 lists its |S| = 2 candidates
-    symbols = np.array([[1, 12], [5, 8]], dtype=np.int64)
-    monkeypatch.setattr(circulant, "_MAX_LISTED_UNITS", 2)
-    assert circulant._prime_fixers(13, symbols) == [(1, 12), (1, 12)]
-    monkeypatch.setattr(circulant, "_MAX_LISTED_UNITS", 1)
-    with pytest.raises(ValueError, match="would list 2 candidate units, over the limit of 1"):
-        circulant._prime_fixers(13, symbols)
+def refuse_work(*args):
+    raise AssertionError("scanned past a limit")
+
+
+def test_unit_batch_listing_limit_boundary(monkeypatch):
+    # each row of a batch lists its |S| = 2 candidates, at one modulus or at
+    # one modulus per row
+    cases = (
+        (13, [[1, 12], [5, 8]], [(1, 12), (1, 12)]),
+        (np.array([13, 7]), [[1, 12], [1, 6]], [(1, 12), (1, 6)]),
+    )
+    for n, symbols, fixers in cases:
+        symbols = np.array(symbols, dtype=np.int64)
+        monkeypatch.setattr(circulant, "_MAX_LISTED_UNITS", 2)
+        assert unit_fixer_tuples(n, symbols) == fixers
+        monkeypatch.setattr(circulant, "_MAX_LISTED_UNITS", 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(circulant, "_confirmed", refuse_work)
+            with pytest.raises(
+                ValueError, match="would list 2 candidate units, over the limit of 1"
+            ):
+                circulant._unit_fixers(n, symbols)
+
+
+def test_unit_batch_membership_bound_boundary(monkeypatch):
+    # residues are looked up shifted by the sum of the moduli of the rows
+    # before them, so the bound is the sum of all the rows' moduli
+    cases = (
+        (np.array([13, 7, 11]), [[1, 12], [1, 6], [1, 10]], 31, [(1, 12), (1, 6), (1, 10)]),
+        (13, [[1, 12], [5, 8], [3, 10]], 39, [(1, 12)] * 3),
+    )
+    for n, symbols, bound, fixers in cases:
+        symbols = np.array(symbols, dtype=np.int64)
+        monkeypatch.setattr(circulant, "_MAX_MEMBER_BOUND", bound)
+        assert unit_fixer_tuples(n, symbols) == fixers
+        monkeypatch.setattr(circulant, "_MAX_MEMBER_BOUND", bound - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(circulant, "_confirmed", refuse_work)
+            with pytest.raises(
+                ValueError,
+                match=rf"^fixer batch of 3 rows would look up residues below {bound}, "
+                rf"over the limit of {bound - 1}$",
+            ):
+                circulant._unit_fixers(n, symbols)
 
 
 def test_multiplier_questions_list_no_units_at_large_moduli(monkeypatch):
@@ -554,7 +600,7 @@ def test_fixer_scan_picks_the_lookup_for_its_batch(monkeypatch):
         batch.append(tuple(sorted(x for s in half for x in (s, 73 - s))))
     with monkeypatch.context() as patch:
         patch.setattr(np, "searchsorted", refuse)
-        got = circulant._prime_fixers(73, np.array(batch, dtype=np.int64))
+        got = unit_fixer_tuples(73, np.array(batch, dtype=np.int64))
     assert got == [reference_fixers(ConnectionSet(73, row)) for row in batch]
 
 

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import time
 
+import numpy as np
 import pytest
 
 from circdeg import mintable
@@ -166,15 +167,16 @@ def test_census_command(capsys):
 def test_census_coset_model_mismatch_exits_3(capsys, monkeypatch):
     import circdeg.census as census_module
 
-    scan = census_module._prime_fixers
+    scan = census_module._unit_fixers
 
     def drop_one_unit(p, symbols):
-        fixers = scan(p, symbols)
+        fixers, counts = scan(p, symbols)
         if symbols.shape[1] == 4:  # the unions of two cosets of {1, 10} mod 11
-            fixers[-1] = fixers[-1][1:]
-        return fixers
+            fixers[-1] = np.append(fixers[-1, 1:], p)
+            counts[-1] -= 1
+        return fixers, counts
 
-    monkeypatch.setattr(census_module, "_prime_fixers", drop_one_unit)
+    monkeypatch.setattr(census_module, "_unit_fixers", drop_one_unit)
     code, out, err = run(capsys, "census", "11", "5")
     assert code == EXIT_DISAGREEMENT
     assert out == ""

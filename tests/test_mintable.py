@@ -1,13 +1,14 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from circdeg import circulant, mintable
-from circdeg.circulant import algebraic_degree, is_connected
+from circdeg.circulant import ConnectionSet, algebraic_degree, is_connected
 from circdeg.cyclotomic import splitting_field_degree
 from circdeg.golden import GOLDEN_TABLE, golden_rows, table_mismatch
 from circdeg.mintable import degree_table, min_order_for_degree, strict_rows
-from circdeg.numtheory import euler_phi, is_prime, smallest_prime_1_mod_2d
+from circdeg.numtheory import divisors, euler_phi, is_prime, smallest_prime_1_mod_2d
 from circdeg.unitgroup import ConstructionError
 
 
@@ -132,11 +133,75 @@ def test_table_witnesses_verified_both_routes():
             assert is_connected(row.witness)
 
 
+def miscounted(modulus):
+    """circulant._unit_fixers, with one fixer too few for the rows mod `modulus`."""
+    scan = circulant._unit_fixers
+
+    def scan_one_short(n, symbols):
+        fixers, counts = scan(n, symbols)
+        counts[np.asarray(n) == modulus] -= 1
+        return fixers, counts
+
+    return scan_one_short
+
+
 def test_table_witness_of_the_wrong_degree_is_refused(monkeypatch):
-    # regular_construction checks each witness's degree once, for the table.
-    monkeypatch.setattr(circulant, "algebraic_degree", lambda symbol: 0)
-    with pytest.raises(ConstructionError, match=r"construction \(5, 2\) failed"):
-        degree_table(2)
+    # The table checks every witness's degree in the batch's fixer scan.
+    monkeypatch.setattr(circulant, "_unit_fixers", miscounted(15))
+    with pytest.raises(
+        ConstructionError,
+        match=r"^no degree-4 witness on C\(4\) = 15 vertices: subgroup construction \(15, 4\) failed$",
+    ):
+        degree_table(10)
+
+
+def test_table_names_the_lowest_of_two_failing_rows(monkeypatch):
+    # Two rows fail, one when its subgroup is built (phi(8)/2 = 2 has no
+    # divisor 3 or 5) and one at the degree check; the lower one is named.
+    orders = mintable._table_orders(6)
+    build_fails_first = list(orders)
+    build_fails_first[2] = orders[2]._replace(c_of_d=8)
+    degree_fails_first = list(orders)
+    degree_fails_first[4] = orders[4]._replace(c_of_d=8)
+    with monkeypatch.context() as patch:
+        patch.setattr(circulant, "_unit_fixers", miscounted(11))  # C(5) = 11
+        with pytest.raises(
+            ConstructionError,
+            match=r"^no degree-3 witness on C\(3\) = 8 vertices: 3 does not divide phi\(8\)/2 = 2$",
+        ):
+            mintable._witnessed(tuple(build_fails_first))
+    with monkeypatch.context() as patch:
+        patch.setattr(circulant, "_unit_fixers", miscounted(7))  # C(3) = 7
+        with pytest.raises(
+            ConstructionError,
+            match=r"^no degree-3 witness on C\(3\) = 7 vertices: subgroup construction \(7, 3\) failed$",
+        ):
+            mintable._witnessed(tuple(degree_fails_first))
+
+
+def test_batched_fixer_counts_match_the_lone_symbol_scan(monkeypatch):
+    # Every witness of the largest table and every subgroup construction of
+    # check_constructions (n <= 200, here in one batch of mixed moduli)
+    # against fixing_subgroup of a fresh symbol, which runs _mappers.
+    scan, scanned = circulant._unit_fixers, []
+
+    def recorded(n, symbols):
+        fixers, counts = scan(n, symbols)
+        moduli = np.broadcast_to(n, len(symbols)).tolist()
+        scanned.extend(zip(moduli, symbols.tolist(), fixers.tolist(), counts.tolist()))
+        return fixers, counts
+
+    monkeypatch.setattr(circulant, "_unit_fixers", recorded)
+    witnesses = [row.witness for row in degree_table(1000) if row.d > 1]
+    pairs = [(n, d) for n in range(3, 201) for d in divisors(euler_phi(n) // 2)]
+    built, refusal = circulant._regular_constructions(pairs)
+    assert refusal is None and len(built) == len(pairs) > 1000
+    expected = sorted((s.n, s.elements) for s in witnesses + built)
+    assert sorted((n, tuple(row)) for n, row, _, _ in scanned) == expected
+    for n, row, fixers, count in scanned:
+        lone = circulant.fixing_subgroup(ConnectionSet(n, tuple(row))).elements
+        assert (count, tuple(fixers[:count])) == (len(lone), lone), (n, row)
+        assert fixers[count:] == [n] * (len(row) - count)
 
 
 def test_prime_bound_column():
@@ -153,9 +218,9 @@ def test_strict_rows():
 
 
 def test_strict_rows_build_no_witness(monkeypatch):
-    def refuse(n, d):
-        raise AssertionError(f"built a witness for ({n}, {d})")
+    def refuse(pairs):
+        raise AssertionError(f"built witnesses for {pairs}")
 
-    monkeypatch.setattr(mintable, "regular_construction", refuse)
+    monkeypatch.setattr(mintable, "_regular_constructions", refuse)
     expected = tuple(d for d, c, p in GOLDEN_TABLE if c < p)
     assert strict_rows(100) == expected and len(expected) == 28

@@ -180,7 +180,7 @@ def test_independent_routes_share_no_code():
     # The eigenvalue oracle must never see the fixing-subgroup route ...
     oracle = _referenced_names(cyclotomic) | set(vars(cyclotomic))
     assert not oracle & {
-        "fixing_subgroup", "algebraic_degree", "_mappers", "_lifts", "_prime_fixers"
+        "fixing_subgroup", "algebraic_degree", "_mappers", "_lifts", "_unit_fixers"
     }
     # ... and integral enumeration must never see the Mobius closed form.
     brute = _referenced_names(integral.count_connected_integral_bruteforce)
@@ -198,7 +198,7 @@ def test_sweep_calls_neither_public_degree_route():
         "eigenvalue_matrix",
         "_mappers",
         "_lifts",
-        "_prime_fixers",
+        "_unit_fixers",
     }
 
 
