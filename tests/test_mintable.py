@@ -150,7 +150,8 @@ def test_table_witness_of_the_wrong_degree_is_refused(monkeypatch):
     monkeypatch.setattr(circulant, "_unit_fixers", miscounted(15))
     with pytest.raises(
         ConstructionError,
-        match=r"^no degree-4 witness on C\(4\) = 15 vertices: subgroup construction \(15, 4\) failed$",
+        match=r"^no degree-4 witness on C\(4\) = 15 vertices: "
+        r"subgroup construction \(15, 4\) failed$",
     ):
         degree_table(10)
 
@@ -167,14 +168,16 @@ def test_table_names_the_lowest_of_two_failing_rows(monkeypatch):
         patch.setattr(circulant, "_unit_fixers", miscounted(11))  # C(5) = 11
         with pytest.raises(
             ConstructionError,
-            match=r"^no degree-3 witness on C\(3\) = 8 vertices: 3 does not divide phi\(8\)/2 = 2$",
+            match=r"^no degree-3 witness on C\(3\) = 8 vertices: "
+            r"3 does not divide phi\(8\)/2 = 2$",
         ):
             mintable._witnessed(tuple(build_fails_first))
     with monkeypatch.context() as patch:
         patch.setattr(circulant, "_unit_fixers", miscounted(7))  # C(3) = 7
         with pytest.raises(
             ConstructionError,
-            match=r"^no degree-3 witness on C\(3\) = 7 vertices: subgroup construction \(7, 3\) failed$",
+            match=r"^no degree-3 witness on C\(3\) = 7 vertices: "
+            r"subgroup construction \(7, 3\) failed$",
         ):
             mintable._witnessed(tuple(degree_fails_first))
 
