@@ -192,9 +192,11 @@ def _orbit_representatives(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _census_work(p: int, d: int) -> int:
-    """The most products the fixer scan of prime_census(p, d) can look up in
-    one batch: B * L^2 for the B orbit representatives of one size m, each
-    a union of L = m * (p-1)/d residues with L candidates."""
+    """A bound on the products the fixer scan of prime_census(p, d) looks up
+    in one batch: B * L^2 for the B orbit representatives of one size m,
+    each a union of L = m * (p-1)/d residues with L candidates.  The halved
+    scan looks up at most a quarter of it, B * (L/2)^2; the bound keeps its
+    value, so the same censuses are admitted."""
     order = (p - 1) // d
     return max(rotation_orbit_count(d, m) * (m * order) ** 2 for m in range(1, d))
 
@@ -224,6 +226,11 @@ def prime_census(p: int, d: int) -> CensusRecord:
     order-(p-1)/d subgroup H.  The unions of the same number of cosets have
     one size, so each size is one int64 batch of residue sets, and one
     batched fixer scan computes every fixing subgroup directly on residues.
+    H holds -1, so every union of its cosets is inverse-symmetric, and the
+    scan (circulant._unit_fixers) halves both its candidates and its
+    columns: it confirms one unit of each pair {k, -k} on the half of the
+    union below p/2, at most B * (L/2)^2 products for B unions of L
+    residues; every unit that can fix a union is still decided on residues.
     A union must be fixed by exactly H iff its mask is aperiodic, and always
     when its coset count is coprime to d.  The orbit count is cross-checked
     against the closed-form count of aperiodic subsets, which is also what

@@ -250,23 +250,42 @@ def _confirmed(
 
 
 def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The fixers of (B, L) nonempty symbols made only of units, all at once.
+    """The fixers of (B, L) nonempty inverse-symmetric symbols made only of
+    units, all at once.
 
     n is the modulus of every row (an int, as in the census) or an int64
     array of one modulus per row (as in the table).  Returns two int64
     arrays: (B, L) the fixers of each row ascending, padded with the row's
     modulus, and (B,) the fixer count of each row.
 
-    A unit k that fixes S maps s0 = S[0] into S, so the candidates of row S
-    are S * s0^-1, all units; no unit is listed and nothing is sorted but
-    the fixers found.  Raises ValueError, before any work, past the scan's
-    limits on a modulus and on the candidates listed per row, and when the
+    A unit k that fixes S maps s0 = S[0] into S, so the fixers of row S lie
+    among S * s0^-1, all units.  S = -S halves that scan twice.  At n >= 3
+    no unit equals n/2, so a sorted row S has even width and its first half
+    S+ lies below n/2, with S = S+ u -S+.
+
+    - Half the columns: if k*S+ lies in S, then k*(-s) = -(k*s) lies in
+      -S = S, so kS lies in S, and kS = S because k is a unit.
+    - Half the candidates: (-k)*S = k*(-S) = kS, so k fixes S iff -k does.
+      The map s -> s * s0^-1 commutes with negation, so S+ * s0^-1 holds
+      one candidate of each +- pair of S * s0^-1.
+
+    So only the candidates S+ * s0^-1 are confirmed, each on the columns S+
+    looked up in S, pivot s0 last: at most B * (L/2)^2 products.  The
+    fixers are the hits k and n - k, 2 |hits| of them.  No unit is listed
+    and nothing is sorted but the fixers found.
+
+    Raises ValueError, before any product: for a modulus below 3; past the
+    scan's limits on a modulus and on the L candidates per row; when the
     membership bound (the sum of the rows' moduli) is over
-    _MAX_MEMBER_BOUND, past which the shifted residues leave int64.
+    _MAX_MEMBER_BOUND, past which the shifted residues leave int64; and for
+    a row that is not inverse-symmetric, naming its modulus and a residue
+    whose inverse is missing.
     """
     count, width = symbols.shape
     mixed = np.ndim(n) == 1
     moduli = n.tolist() if mixed else [n] * count
+    if min(moduli, default=3) < 3:
+        raise ValueError(f"fixer batch needs moduli of at least 3, got {min(moduli)}")
     _check_listed(max(moduli, default=0), width)
     bound = sum(moduli)
     if bound > _MAX_MEMBER_BOUND:
@@ -275,13 +294,27 @@ def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, 
             f"over the limit of {_MAX_MEMBER_BOUND}"
         )
     column = n[:, None] if mixed else n
-    first = symbols[:, 0].tolist()
+    plus = symbols[:, :width // 2]
+    asymmetric = np.flatnonzero((plus + symbols[:, ::-1][:, :width // 2] != column).any(axis=1))
+    if asymmetric.size or width % 2:
+        r = int(asymmetric[0]) if asymmetric.size else 0
+        m, elements = moduli[r], symbols[r]
+        lacking = elements[~np.isin(m - elements, elements)]
+        if lacking.size:
+            raise ValueError(
+                f"row {r} mod {m} is not inverse-symmetric: {lacking[0]} is present "
+                f"but {m - lacking[0]} is not"
+            )
+        raise ValueError(f"row {r} mod {m} is not distinct ascending units")
+    first = plus[:, 0].tolist()
     inverse = np.array([pow(s, -1, m) for s, m in zip(first, moduli)], dtype=np.int64)
-    candidates = symbols * inverse[:, None] % column
-    row = np.repeat(np.arange(count), width)
+    candidates = plus * inverse[:, None] % column
+    row = np.repeat(np.arange(count), width // 2)
     hits = np.zeros(candidates.shape, dtype=bool)
-    hits.flat[_confirmed(n, symbols, symbols, candidates.ravel(), 0, row)] = True
-    return np.sort(np.where(hits, candidates, column), axis=1), hits.sum(axis=1)
+    hits.flat[_confirmed(n, plus, symbols, candidates.ravel(), 0, row)] = True
+    hits = np.concatenate((hits, hits), axis=1)
+    fixers = np.where(hits, np.concatenate((candidates, column - candidates), axis=1), column)
+    return np.sort(fixers, axis=1), hits.sum(axis=1)
 
 
 def _lex_min(rows: np.ndarray) -> np.ndarray:

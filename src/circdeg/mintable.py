@@ -28,6 +28,10 @@ _MAX_TABLE_DEGREE = 1000  # most rows one table may have; each row builds and ch
 # its last C(d); a block tests every pending degree in one (block x pending)
 # int64 matrix, at most 64 x 999 cells (0.5 MB) under _MAX_TABLE_DEGREE.
 _BLOCK_CAP = 64
+# Most orders one min_order_for_degree scan may pass.  Its bound on C(d) is
+# p_d = smallest_prime_1_mod_2d(d), checked against this before any phi; every
+# d <= 1000 is admitted (the largest p_d there is 33,889).
+_MAX_SCAN_ORDER = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -75,12 +79,22 @@ def min_order_for_degree(d: int) -> int:
 
     Hard-coded to 1 for d = 1 (the one-vertex graph); otherwise the least n
     with 2d | phi(n).  Since phi(n) < n, C(d) > 2d; d with 2d >= 2^63 - 1
-    is refused, which also keeps 2d exact in the scan's int64 matrix.
+    is refused, which also keeps 2d exact in the scan's int64 matrix.  The
+    scan stops by p_d, the smallest prime 1 mod 2d, so before any phi it is
+    refused when 2d + 1 is over _MAX_SCAN_ORDER (without searching for
+    p_d, since p_d >= 2d + 1), or else when p_d is.
     """
     if d < 1:
         raise ValueError(f"expected d >= 1, got {d}")
     if 2 * d >= MAX_INPUT:
         raise ValueError(f"C({d}) > {2 * d} is over the largest order {MAX_INPUT}")
+    bound = 2 * d + 1
+    if bound <= _MAX_SCAN_ORDER:
+        bound = smallest_prime_1_mod_2d(d)
+    if bound > _MAX_SCAN_ORDER:
+        raise ValueError(
+            f"C({d}) scan could pass order {bound}, over the limit of {_MAX_SCAN_ORDER}"
+        )
     return _min_orders((d,))[d]
 
 

@@ -24,7 +24,7 @@ from circdeg.circulant import (
     regular_construction,
 )
 from circdeg.numtheory import divisors, euler_phi, is_prime
-from circdeg.unitgroup import Subgroup, inverse_symmetric_subgroup, units
+from circdeg.unitgroup import Subgroup, cosets, inverse_symmetric_subgroup, units
 
 
 def random_symbol(rng, n):
@@ -370,7 +370,7 @@ def test_batched_scans_match_multiplier_images(monkeypatch, block):
         # residues up by binary search instead of the table.
         monkeypatch.setattr(circulant, "_BLOCK_PRODUCTS", block)
         monkeypatch.setattr(circulant, "_MAX_MEMBER_TABLE", 0)
-    rng = random.Random(31)
+    rng, pair_rng = random.Random(31), random.Random(37)
     for n in (1, 2, 3, 5, 12, 29, 30, 60, 73, 91):
         for size in sorted({0, min(1, n - 1), min(2, n - 1), rng.randint(0, n - 1), n - 1}):
             batch = [
@@ -378,11 +378,21 @@ def test_batched_scans_match_multiplier_images(monkeypatch, block):
                 for _ in range(rng.randint(1, 9))
             ]
             reference = [reference_batch_scan(n, elements) for elements in batch]
-            # a batch at prime n is one scan, as in the census; every row is
-            # also scanned alone, as a fresh symbol object
-            if size and is_prime(n):
-                symbols = np.array(batch, dtype=np.int64)
-                assert unit_fixer_tuples(n, symbols) == [f for f, _ in reference]
+            # a batch of symmetric rows at prime n > 2 is one scan, as in the
+            # census: one row of size // 2 random pairs {s, n - s} (one pair
+            # at least) per row of the batch
+            if size and is_prime(n) and n > 2:
+                symmetric = [
+                    tuple(sorted(
+                        x for s in pair_rng.sample(range(1, (n + 1) // 2), max(1, size // 2))
+                        for x in (s, n - s)
+                    ))
+                    for _ in batch
+                ]
+                symbols = np.array(symmetric, dtype=np.int64)
+                expected = [reference_batch_scan(n, elements)[0] for elements in symmetric]
+                assert unit_fixer_tuples(n, symbols) == expected
+            # every row is also scanned alone, as a fresh symbol object
             fixers = [fixing_subgroup(ConnectionSet(n, row)).elements for row in batch]
             assert fixers == [f for f, _ in reference]
             least = [least_multiplier_image(ConnectionSet(n, row)) for row in batch]
@@ -432,6 +442,101 @@ def test_early_rejection_matches_reference_fixers(monkeypatch, block):
     if block is not None:
         assert all(c * k <= block or k == 1 for c, k in steps)
         assert sum(c * k for c, k in steps) > 10 * block
+
+
+def symmetric_unit_rows(rng, n, pairs, count):
+    """`count` sorted rows mod n, each of `pairs` random pairs {u, n - u} of units."""
+    low = [u for u in units(n) if u < n - u]
+    return [
+        tuple(sorted(x for u in rng.sample(low, pairs) for x in (u, n - u)))
+        for _ in range(count)
+    ]
+
+
+def coset_rows(n, order):
+    """The cosets of an inverse-symmetric subgroup H of the units mod n, and
+    the unions of H with each other coset: rows whose fixers include H."""
+    rows = cosets(n, inverse_symmetric_subgroup(n, order))
+    return list(rows), [tuple(sorted(rows[0] + row)) for row in rows[1:]]
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_halved_unit_scan_matches_reference_fixers(monkeypatch, small_blocks):
+    if small_blocks:
+        # Steps of at most 8 products, and binary search in place of the table.
+        monkeypatch.setattr(circulant, "_BLOCK_PRODUCTS", 8)
+        monkeypatch.setattr(circulant, "_MAX_MEMBER_TABLE", 0)
+
+    def check(n, batch):
+        got = unit_fixer_tuples(n, np.array(batch, dtype=np.int64))
+        moduli = np.broadcast_to(n, len(batch)).tolist()
+        assert got == [reference_fixers(ConnectionSet(m, row)) for m, row in zip(moduli, batch)]
+
+    rng = random.Random(59)
+    # one modulus per batch, prime and composite, as in the census
+    for n in (3, 4, 13, 73, 91, 720, 1001):
+        most = euler_phi(n) // 2
+        for pairs in sorted({1, min(2, most), max(1, most // 3), most}):
+            check(n, symmetric_unit_rows(rng, n, pairs, 5))
+        if euler_phi(n) % 4 == 0 and euler_phi(n) > 4:
+            for batch in coset_rows(n, 4):
+                check(n, batch)
+    # one modulus per row, prime and composite, as in the table
+    moduli = [5, 7, 12, 13, 15, 16, 21, 73, 91, 720, 1001]
+    for pairs in (1, 2, 4):
+        kept = [m for m in moduli if euler_phi(m) >= 2 * pairs]
+        check(np.array(kept), [symmetric_unit_rows(rng, m, pairs, 1)[0] for m in kept])
+    kept = [m for m in moduli if euler_phi(m) % 4 == 0]
+    check(np.array(kept), [inverse_symmetric_subgroup(m, 4).elements for m in kept])
+    check(np.array(kept), [coset_rows(m, 4)[0][-1] for m in kept])
+
+
+def test_halved_unit_scan_looks_up_a_quarter_of_the_products(monkeypatch):
+    # Every candidate of a coset of H is a fixer, so no early rejection
+    # helps: the whole scan is B * (L/2)^2 products, a quarter of B * L^2.
+    products = []
+    membership = circulant._membership
+
+    def recorded(values, bound, lookups):
+        contains = membership(values, bound, lookups)
+
+        def looked_up(images):
+            products.append(images.size)
+            return contains(images)
+
+        return looked_up
+
+    monkeypatch.setattr(circulant, "_membership", recorded)
+    cases = [(p, coset_rows(p, order)[0]) for p, order in ((73, 12), (257, 32), (13, 4))]
+    moduli = [m for m in range(3, 200) if euler_phi(m) % 8 == 0][:30]
+    cases.append((np.array(moduli), [inverse_symmetric_subgroup(m, 8).elements for m in moduli]))
+    for n, batch in cases:
+        products.clear()
+        got = unit_fixer_tuples(n, np.array(batch, dtype=np.int64))
+        moduli = np.broadcast_to(n, len(batch)).tolist()
+        assert got == [reference_fixers(ConnectionSet(m, row)) for m, row in zip(moduli, batch)]
+        assert all(len(f) == len(row) for f, row in zip(got, batch))
+        width = len(batch[0])
+        assert 0 < sum(products) <= len(batch) * (width // 2) ** 2
+
+
+def test_halved_unit_scan_refuses_rows_it_cannot_halve(monkeypatch):
+    monkeypatch.setattr(circulant, "_confirmed", refuse_work)
+    cases = [
+        # a row without the inverse of one of its residues
+        (13, [[1, 12], [3, 12]], r"^row 1 mod 13 is not inverse-symmetric: 3 is present but 10 "),
+        (np.array([13, 7]), [[1, 12], [2, 3]],
+         r"^row 1 mod 7 is not inverse-symmetric: 2 is present but 5 "),
+        # symmetric as a set, but not ascending; n/2 is its own inverse and
+        # no unit (nor is the unit 1 mod 2 halved)
+        (13, [[1, 12, 3, 10]], r"^row 0 mod 13 is not distinct ascending units$"),
+        (8, [[2, 4, 6]], r"^row 0 mod 8 is not distinct ascending units$"),
+        (2, [[1]], r"^fixer batch needs moduli of at least 3, got 2$"),
+        (np.array([13, 2]), [[1, 12], [1, 1]], r"^fixer batch needs moduli of at least 3, got 2$"),
+    ]
+    for n, symbols, message in cases:
+        with pytest.raises(ValueError, match=message):
+            circulant._unit_fixers(n, np.array(symbols, dtype=np.int64))
 
 
 def test_kept_scan_is_per_symbol_object_across_threads():

@@ -76,6 +76,36 @@ def test_min_order_refuses_degrees_past_the_order_range():
             min_order_for_degree(d)
 
 
+def test_min_order_scan_limit_boundaries(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("worked past the scan limit")
+
+    # p_94 = 941 bounds the scan for C(94) = 849: admitted at the limit ...
+    assert smallest_prime_1_mod_2d(94) == 941
+    monkeypatch.setattr(mintable, "_MAX_SCAN_ORDER", 941)
+    assert min_order_for_degree(94) == 849
+    # ... and refused one below it, before any phi
+    monkeypatch.setattr(mintable, "euler_phi", refuse)
+    for limit in (940, 189):
+        monkeypatch.setattr(mintable, "_MAX_SCAN_ORDER", limit)
+        with pytest.raises(
+            ValueError, match=rf"^C\(94\) scan could pass order 941, over the limit of {limit}$"
+        ):
+            min_order_for_degree(94)
+    # C(94) >= 2*94 + 1 = 189: one below that, no prime is searched for
+    monkeypatch.setattr(mintable, "smallest_prime_1_mod_2d", refuse)
+    monkeypatch.setattr(mintable, "_MAX_SCAN_ORDER", 188)
+    with pytest.raises(
+        ValueError, match=r"^C\(94\) scan could pass order 189, over the limit of 188$"
+    ):
+        min_order_for_degree(94)
+
+
+def test_min_order_limit_admits_every_table_degree():
+    primes = [smallest_prime_1_mod_2d(d) for d in range(1, mintable._MAX_TABLE_DEGREE + 1)]
+    assert max(primes) == 33889 <= mintable._MAX_SCAN_ORDER
+
+
 def test_degree_table_small_rows():
     rows = degree_table(3)
     assert [(r.d, r.c_of_d, r.p_d, r.strict) for r in rows] == [
