@@ -295,9 +295,9 @@ def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, 
         )
     column = n[:, None] if mixed else n
     plus = symbols[:, :width // 2]
-    asymmetric = np.flatnonzero((plus + symbols[:, ::-1][:, :width // 2] != column).any(axis=1))
-    if asymmetric.size or width % 2:
-        r = int(asymmetric[0]) if asymmetric.size else 0
+    unpaired = plus + symbols[:, ::-1][:, :width // 2] != column
+    if width % 2 or unpaired.any():
+        r = int(unpaired.any(axis=1).argmax())
         m, elements = moduli[r], symbols[r]
         lacking = elements[~np.isin(m - elements, elements)]
         if lacking.size:
