@@ -51,7 +51,7 @@ from .unitgroup import (
 )
 
 DEFAULT_ENUMERATION_LIMIT = 14
-_MAX_CENSUS_PRODUCTS = 1 << 28  # most fixer-scan lookups one census batch may need, B * L^2
+_MAX_CENSUS_PRODUCTS = 1 << 26  # most fixer-scan lookups one census batch may need, B * (L/2)^2
 NAIVE_ORDER_LIMIT = 12
 
 
@@ -66,7 +66,6 @@ class CensusRecord:
 
     n: int
     d: int
-    kind: str  # "exact", the one kind prime_census and naive_census produce
     value: int
     witnesses: tuple[ConnectionSet, ...]
     method: str
@@ -193,12 +192,12 @@ def _orbit_representatives(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _census_work(p: int, d: int) -> int:
     """A bound on the products the fixer scan of prime_census(p, d) looks up
-    in one batch: B * L^2 for the B orbit representatives of one size m,
-    each a union of L = m * (p-1)/d residues with L candidates.  The halved
-    scan looks up at most a quarter of it, B * (L/2)^2; the bound keeps its
-    value, so the same censuses are admitted."""
-    order = (p - 1) // d
-    return max(rotation_orbit_count(d, m) * (m * order) ** 2 for m in range(1, d))
+    in one batch: B * (L/2)^2 for the B orbit representatives of one size m,
+    each a union of L = m * (p-1)/d residues, confirmed on its L/2 residues
+    below p/2 for its L/2 candidates.  L is even: |H| = (p-1)/d is, since d
+    divides (p-1)/2."""
+    half = (p - 1) // d // 2
+    return max(rotation_orbit_count(d, m) * (m * half) ** 2 for m in range(1, d))
 
 
 def _coset_weights(cosets: np.ndarray) -> np.ndarray:
@@ -235,7 +234,7 @@ def prime_census(p: int, d: int) -> CensusRecord:
     when its coset count is coprime to d.  The orbit count is cross-checked
     against the closed-form count of aperiodic subsets, which is also what
     larger d returns on its own (without witnesses, which would be
-    astronomically many).  Before H is built, the largest batch's B * L^2
+    astronomically many).  Before H is built, the largest batch's B * (L/2)^2
     products (_census_work) must be at most _MAX_CENSUS_PRODUCTS.
 
     Multiplying by r^i rotates coset indices by i, so a kept union's
@@ -265,7 +264,7 @@ def prime_census(p: int, d: int) -> CensusRecord:
         raise AssertionError(f"aperiodic subset count not divisible by {d}")
     formula_count = formula_total // d
     if d > DEFAULT_ENUMERATION_LIMIT:
-        return CensusRecord(p, d, "exact", formula_count, (), "aperiodic-subset-formula")
+        return CensusRecord(p, d, formula_count, (), "aperiodic-subset-formula")
     work = _census_work(p, d)
     if work > _MAX_CENSUS_PRODUCTS:
         raise ValueError(
@@ -313,9 +312,7 @@ def prime_census(p: int, d: int) -> CensusRecord:
         raise AssertionError(
             f"enumerated {len(witnesses)} orbits but formula gives {formula_count}"
         )
-    return CensusRecord(
-        p, d, "exact", len(witnesses), tuple(witnesses), "coset-orbit-enumeration"
-    )
+    return CensusRecord(p, d, len(witnesses), tuple(witnesses), "coset-orbit-enumeration")
 
 
 def lower_bound(n: int, d: int) -> tuple[int, str]:
@@ -506,7 +503,7 @@ def naive_census(n: int, d: int) -> CensusRecord:
     witnesses = tuple(
         sorted((rep for rep, _ in classes), key=lambda s: (s.valency(), s.elements))
     )
-    return CensusRecord(n, d, "exact", len(witnesses), witnesses, "naive-vf2")
+    return CensusRecord(n, d, len(witnesses), witnesses, "naive-vf2")
 
 
 def multiplier_orbit_check(record: CensusRecord) -> bool:

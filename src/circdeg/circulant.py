@@ -162,11 +162,12 @@ def _mappers(n: int, source: Sequence[int], target: Sequence[int]) -> tuple[int,
     symbol = np.array([source], dtype=np.int64)
     goal = symbol if target is source else np.array([target], dtype=np.int64)
     pivot = source.index(members[0])
+    modulus = np.array([n], dtype=np.int64)
     lifts = len(residues) * g
     found = []
     for lo in range(0, lifts, _BLOCK_PRODUCTS):
         k = _lifts(n, m, residues, lo, min(lo + _BLOCK_PRODUCTS, lifts))
-        found.append(k[_confirmed(n, symbol, goal, k, pivot)])
+        found.append(k[_confirmed(modulus, symbol, goal, k, pivot, np.zeros_like(k))])
     mappers = np.concatenate(found)
     mappers.sort()
     return tuple(mappers.tolist())
@@ -183,20 +184,20 @@ def _lifts(n: int, m: int, residues: np.ndarray, lo: int, hi: int) -> np.ndarray
 
 
 def _confirmed(
-    n: int | np.ndarray,
+    moduli: np.ndarray,
     symbols: np.ndarray,
     targets: np.ndarray,
     k: np.ndarray,
     pivot: int,
-    row: Optional[np.ndarray] = None,
+    row: np.ndarray,
 ) -> np.ndarray:
     """The positions, ascending, of the candidates k[i] that map the sorted
-    row S = symbols[row[i]] into targets[row[i]] (row 0 for all when row is
-    None); column `pivot` of S is looked up last.  n is the modulus of every
-    row, or (on the row path) an int64 array of one modulus per row.  One
-    _membership of the targets, row r shifted by the sum of the moduli of
-    the rows before it when row is given, takes every lookup; it is sized
-    for a few per non-fixer and all |S| for the fixers +-1.
+    row S = symbols[row[i]] into targets[row[i]] mod moduli[row[i]] (int64,
+    one modulus per row); column `pivot` of S is looked up last.  One
+    _membership of the targets, row r shifted by the running sum of the
+    moduli of the rows before it, takes every lookup; it is sized for a few
+    per non-fixer and all |S| for the fixers +-1.  One row needs no shift
+    and no gather per candidate: its products are block * k mod its modulus.
 
     Early rejection: each round looks up a block of the next columns of S
     for the candidates that passed every earlier round, and drops those with
@@ -210,16 +211,9 @@ def _confirmed(
     """
     width = symbols.shape[1]
     lookups = min(width, 3) * len(k) + 2 * symbols.size
-    mixed = np.ndim(n) == 1
-    if row is None:
-        contains = _membership(targets[0], n, lookups)
-    else:
-        if mixed:
-            ends = np.cumsum(n)
-            offsets, bound, modulus = ends - n, int(ends[-1]), n[row]
-        else:
-            offsets, bound = np.arange(0, len(targets) * n, n, dtype=np.int64), len(targets) * n
-        contains = _membership((targets + offsets[:, None]).ravel(), bound, lookups)
+    offsets = moduli.cumsum() - moduli
+    contains = _membership((targets + offsets[:, None]).ravel(), int(moduli.sum()), lookups)
+    lone = len(symbols) == 1
     # the columns of S as rows, the pivot's last
     ordered = np.concatenate((symbols[:, pivot + 1:].T, symbols[:, :pivot + 1].T))
     index = np.arange(len(k))
@@ -231,19 +225,16 @@ def _confirmed(
         ok = np.empty(index.size, dtype=bool)
         for start in range(0, index.size, step):
             part = slice(start, start + step)
-            if row is None:
+            if lone:
                 images = block * k[part]
-                images %= n
+                images %= moduli[0]
             else:
-                images = block[:, row[part]] * k[part]
-                images %= modulus[part] if mixed else n
-                images += offsets[row[part]]
+                rows = row[part]
+                images = block[:, rows] * k[part]
+                images %= moduli[rows]
+                images += offsets[rows]
             ok[part] = contains(images).all(axis=0)
-        index, k = index[ok], k[ok]
-        if row is not None:
-            row = row[ok]
-            if mixed:
-                modulus = modulus[ok]
+        index, k, row = index[ok], k[ok], row[ok]
         lo += size
         size *= 4
     return index
@@ -254,9 +245,9 @@ def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, 
     units, all at once.
 
     n is the modulus of every row (an int, as in the census) or an int64
-    array of one modulus per row (as in the table).  Returns two int64
-    arrays: (B, L) the fixers of each row ascending, padded with the row's
-    modulus, and (B,) the fixer count of each row.
+    array of one modulus per row (as in the table), broadcast to one per
+    row.  Returns two int64 arrays: (B, L) the fixers of each row ascending,
+    padded with the row's modulus, and (B,) the fixer count of each row.
 
     A unit k that fixes S maps s0 = S[0] into S, so the fixers of row S lie
     among S * s0^-1, all units.  S = -S halves that scan twice.  At n >= 3
@@ -270,9 +261,9 @@ def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, 
       one candidate of each +- pair of S * s0^-1.
 
     So only the candidates S+ * s0^-1 are confirmed, each on the columns S+
-    looked up in S, pivot s0 last: at most B * (L/2)^2 products.  The
-    fixers are the hits k and n - k, 2 |hits| of them.  No unit is listed
-    and nothing is sorted but the fixers found.
+    looked up in S, pivot s0 last: at most B * (L/2)^2 products in one
+    _confirmed pass.  The fixers are the hits k and n - k, 2 |hits| of
+    them.  No unit is listed and nothing is sorted but the fixers found.
 
     Raises ValueError, before any product: for a modulus below 3; past the
     scan's limits on a modulus and on the L candidates per row; when the
@@ -282,23 +273,23 @@ def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, 
     whose inverse is missing.
     """
     count, width = symbols.shape
-    mixed = np.ndim(n) == 1
-    moduli = n.tolist() if mixed else [n] * count
-    if min(moduli, default=3) < 3:
-        raise ValueError(f"fixer batch needs moduli of at least 3, got {min(moduli)}")
-    _check_listed(max(moduli, default=0), width)
-    bound = sum(moduli)
+    moduli = np.full(count, n)
+    listed = moduli.tolist()
+    if min(listed, default=3) < 3:
+        raise ValueError(f"fixer batch needs moduli of at least 3, got {min(listed)}")
+    _check_listed(max(listed, default=0), width)
+    bound = sum(listed)
     if bound > _MAX_MEMBER_BOUND:
         raise ValueError(
             f"fixer batch of {count} rows would look up residues below {bound}, "
             f"over the limit of {_MAX_MEMBER_BOUND}"
         )
-    column = n[:, None] if mixed else n
+    column = moduli[:, None]
     plus = symbols[:, :width // 2]
     unpaired = plus + symbols[:, ::-1][:, :width // 2] != column
     if width % 2 or unpaired.any():
         r = int(unpaired.any(axis=1).argmax())
-        m, elements = moduli[r], symbols[r]
+        m, elements = listed[r], symbols[r]
         lacking = elements[~np.isin(m - elements, elements)]
         if lacking.size:
             raise ValueError(
@@ -307,11 +298,11 @@ def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, 
             )
         raise ValueError(f"row {r} mod {m} is not distinct ascending units")
     first = plus[:, 0].tolist()
-    inverse = np.array([pow(s, -1, m) for s, m in zip(first, moduli)], dtype=np.int64)
+    inverse = np.array([pow(s, -1, m) for s, m in zip(first, listed)], dtype=np.int64)
     candidates = plus * inverse[:, None] % column
     row = np.repeat(np.arange(count), width // 2)
     hits = np.zeros(candidates.shape, dtype=bool)
-    hits.flat[_confirmed(n, plus, symbols, candidates.ravel(), 0, row)] = True
+    hits.flat[_confirmed(moduli, plus, symbols, candidates.ravel(), 0, row)] = True
     hits = np.concatenate((hits, hits), axis=1)
     fixers = np.where(hits, np.concatenate((candidates, column - candidates), axis=1), column)
     return np.sort(fixers, axis=1), hits.sum(axis=1)

@@ -220,8 +220,10 @@ def cmd_table(args) -> int:
 def _encoded_witnesses(record: CensusRecord) -> list[str]:
     """The witnesses' text forms, equal to `w.encode()` for each, looked up
     in one table of the decimal strings of the residues below p.  The table
-    is built only when there are witnesses, which bounds p (see
-    census._MAX_CENSUS_PRODUCTS); the formula path may take p near 2^63."""
+    is built only when there are witnesses, which bounds p: the census's
+    batch of single cosets alone looks up ((p-1)/2d)^2 products, at most
+    census._MAX_CENSUS_PRODUCTS = 2^26, so p <= 2^14 * d + 1 < 2^18.  The
+    formula path may take p near 2^63."""
     if not record.witnesses:
         return []
     decimal = [str(r) for r in range(record.n)]

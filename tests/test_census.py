@@ -103,7 +103,7 @@ def test_upper_bound_examples():
 
 def test_prime_census_examples():
     rec = prime_census(13, 2)
-    assert rec.value == 1 and rec.kind == "exact"
+    assert rec.value == 1
     assert rec.witnesses[0].elements == (1, 3, 4, 9, 10, 12)
 
     rec = prime_census(19, 3)
@@ -224,12 +224,13 @@ def test_rotation_keys_are_the_gathered_sums_per_rotation(monkeypatch, p, d):
 
 def test_prime_census_work_limit_boundary(monkeypatch):
     # (11, 5): |H| = 2, and the largest batch is the 2 orbits of three
-    # cosets, 2 * 6^2 = 72 products
-    assert census._census_work(11, 5) == 72
-    monkeypatch.setattr(census, "_MAX_CENSUS_PRODUCTS", 72)
+    # cosets, each confirmed on 3 of its 6 residues for 3 candidates:
+    # 2 * 3^2 = 18 products
+    assert census._census_work(11, 5) == 18
+    monkeypatch.setattr(census, "_MAX_CENSUS_PRODUCTS", 18)
     assert prime_census(11, 5).value == 6
-    monkeypatch.setattr(census, "_MAX_CENSUS_PRODUCTS", 71)
-    with pytest.raises(ValueError, match=r"would look up 72 products .* over the limit of 71$"):
+    monkeypatch.setattr(census, "_MAX_CENSUS_PRODUCTS", 17)
+    with pytest.raises(ValueError, match=r"would look up 18 products .* over the limit of 17$"):
         prime_census(11, 5)
     # the formula path builds nothing, so no limit applies
     monkeypatch.setattr(census, "_MAX_CENSUS_PRODUCTS", 0)
@@ -411,9 +412,9 @@ def test_multiplier_orbit_check_flags_equivalent_witnesses():
     first = make_connection_set(11, {1, 10})
     doubled = make_connection_set(11, {2, 9})  # 2 * {1, 10}
     other = make_connection_set(11, {1, 2, 9, 10})
-    record = CensusRecord(11, 5, "exact", 3, (first, other, doubled), "test")
+    record = CensusRecord(11, 5, 3, (first, other, doubled), "test")
     assert not multiplier_orbit_check(record)
-    honest = CensusRecord(11, 5, "exact", 2, (first, other), "test")
+    honest = CensusRecord(11, 5, 2, (first, other), "test")
     assert multiplier_orbit_check(honest)
 
 
@@ -437,7 +438,7 @@ def test_naive_census_integral_case():
 def test_naive_census_composite():
     # n = 8: phi = 4, degree 2 means fixing subgroup {1, 7} or {1, 3} or {1, 5}
     rec = naive_census(8, 2)
-    assert rec.kind == "exact" and rec.method == "naive-vf2"
+    assert rec.method == "naive-vf2"
     for w in rec.witnesses:
         assert algebraic_degree(w) == 2 and is_connected(w)
     with pytest.raises(ValueError):

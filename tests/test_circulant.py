@@ -481,6 +481,14 @@ def test_halved_unit_scan_matches_reference_fixers(monkeypatch, small_blocks):
         if euler_phi(n) % 4 == 0 and euler_phi(n) > 4:
             for batch in coset_rows(n, 4):
                 check(n, batch)
+    # one row (confirmed without a gather or an offset) and more rows, at one
+    # modulus passed as an int and as an array
+    for n in (13, 73, 720, 1001):
+        for count in (1, 2, 5):
+            batch = symmetric_unit_rows(rng, n, 3, count)
+            check(n, batch)
+            check(np.full(count, n), batch)
+    check(np.array([91]), coset_rows(91, 4)[1][:1])
     # one modulus per row, prime and composite, as in the table
     moduli = [5, 7, 12, 13, 15, 16, 21, 73, 91, 720, 1001]
     for pairs in (1, 2, 4):

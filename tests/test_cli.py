@@ -347,14 +347,14 @@ def test_envelope_json_is_the_asdict_dump(capsys, monkeypatch, tmp_path, argv):
 
 
 def test_census_over_the_work_limit_exits_2_at_once(capsys):
-    # |H| = (p - 1)/2 = 5 * 10^8: the one batch would look up |H|^2 products
+    # |H| = (p - 1)/2 = 5 * 10^8: the one batch would look up (|H|/2)^2 products
     start = time.perf_counter()
     code, out, err = run(capsys, "census", "1000000009", "2")
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_USAGE
     assert out == ""
-    assert f"would look up {500000004**2} products" in err
-    assert "over the limit of 268435456" in err
+    assert f"would look up {250000002**2} products" in err
+    assert "over the limit of 67108864" in err
 
 
 def test_census_above_the_63_bit_range_exits_2(capsys):

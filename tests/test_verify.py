@@ -261,6 +261,19 @@ def test_fault_injection_is_caught_under_python_O():
     assert run.stdout.startswith("False totient divisor sum fails"), run.stdout
 
 
+def test_package_has_no_assert_statement():
+    # `python -O` strips assert statements, so every check in the package
+    # raises explicitly (verify._require, or `raise AssertionError`).
+    package = Path(circdeg.__file__).parent
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+
+
 def test_cmd_verify_exit_code_on_failure(monkeypatch, capsys):
     from circdeg import cli
 
