@@ -14,6 +14,8 @@ census for toy orders.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,19 +57,68 @@ _MAX_CENSUS_PRODUCTS = 1 << 26  # most fixer-scan lookups one census batch may n
 NAIVE_ORDER_LIMIT = 12
 
 
+class CensusWitnesses(Sequence[ConnectionSet]):
+    """The witnesses of one census: a read-only sequence of connection sets
+    mod n, kept as one int64 array.
+
+    Row i of `rows` holds the ascending residues of witness i, padded on the
+    right with n (which no residue equals), so rows of different valencies
+    share one width.  The array cannot be written.  A ConnectionSet is built
+    only when an item is read; a slice is a view over the sliced rows.  The
+    sequence compares equal, both ways, to any sequence of the same
+    connection sets in the same order (a tuple of them, or () when there are
+    none), and hashes as that tuple.
+    """
+
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n: int, rows: np.ndarray) -> None:
+        rows = rows.view()
+        rows.setflags(write=False)
+        self.n = n
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return CensusWitnesses(self.n, self.rows[key])
+        row = self.rows[operator.index(key)]
+        return ConnectionSet(self.n, tuple(row[row < self.n].tolist()))
+
+    def __iter__(self):
+        sizes = (self.rows < self.n).sum(axis=1).tolist()
+        for row, size in zip(self.rows.tolist(), sizes):
+            yield ConnectionSet(self.n, tuple(row[:size]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class CensusRecord:
     """Result of a census: an exact count, with optional witnesses.
 
     Witnesses, when materialized, are canonical connection sets of degree
     exactly d, connected, pairwise non-isomorphic, and the value equals
-    their count.
+    their count.  prime_census gives them as a CensusWitnesses view (empty
+    on its formula path), which builds each ConnectionSet when it is read;
+    naive_census gives a tuple.
     """
 
     n: int
     d: int
     value: int
-    witnesses: tuple[ConnectionSet, ...]
+    witnesses: Sequence[ConnectionSet]
     method: str
 
 
@@ -254,9 +305,12 @@ def prime_census(p: int, d: int) -> CensusRecord:
     matrix rotate[j, i] = weight[(i + j) % d], built once per census.  The
     least rotation is the one with the largest key (_least_rotation).
     Within one size, ascending witness tuples are descending keys, so
-    witnesses are ordered by (size, -key) and each is sorted once.  `verify
-    full` re-checks the example witnesses with canonical_form, which works
-    on residues.
+    witnesses are ordered by (size, -key) and each is sorted once.  They are
+    returned as one read-only int64 array, a row per witness padded on the
+    right with p to the (d-1)|H| residues of the largest union, behind a
+    CensusWitnesses view: no ConnectionSet is built until a witness is
+    read.  `verify full` re-checks the example witnesses with
+    canonical_form, which works on residues.
     """
     _validate_prime_census_args(p, d)
     formula_total = aperiodic_subset_count(d)
@@ -264,7 +318,8 @@ def prime_census(p: int, d: int) -> CensusRecord:
         raise AssertionError(f"aperiodic subset count not divisible by {d}")
     formula_count = formula_total // d
     if d > DEFAULT_ENUMERATION_LIMIT:
-        return CensusRecord(p, d, formula_count, (), "aperiodic-subset-formula")
+        none = CensusWitnesses(p, np.empty((0, 0), dtype=np.int64))
+        return CensusRecord(p, d, formula_count, none, "aperiodic-subset-formula")
     work = _census_work(p, d)
     if work > _MAX_CENSUS_PRODUCTS:
         raise ValueError(
@@ -283,7 +338,7 @@ def prime_census(p: int, d: int) -> CensusRecord:
     weight = _coset_weights(cosets)
     rotate = weight[np.add.outer(np.arange(d), np.arange(d)) % d]
     base = np.array(subgroup.elements, dtype=np.int64)
-    witnesses: list[ConnectionSet] = []
+    blocks: list[np.ndarray] = []
     for size in range(1, d):
         group = sizes == size
         held = bits[group]
@@ -306,13 +361,17 @@ def prime_census(p: int, d: int) -> CensusRecord:
         chosen = _least_rotation(keys)
         ranked = np.argsort(-keys[np.arange(len(kept)), chosen])
         rotated = (kept[ranked] + chosen[ranked, None]) % d
-        least = np.sort(cosets[rotated].reshape(len(kept), -1), axis=1)
-        witnesses += [ConnectionSet(p, tuple(w)) for w in least.tolist()]
-    if len(witnesses) != formula_count:
-        raise AssertionError(
-            f"enumerated {len(witnesses)} orbits but formula gives {formula_count}"
-        )
-    return CensusRecord(p, d, len(witnesses), tuple(witnesses), "coset-orbit-enumeration")
+        blocks.append(np.sort(cosets[rotated].reshape(len(kept), -1), axis=1))
+    count = sum(len(block) for block in blocks)
+    if count != formula_count:
+        raise AssertionError(f"enumerated {count} orbits but formula gives {formula_count}")
+    # one row per witness, in the order above, padded on the right with p
+    rows = np.full((count, (d - 1) * len(subgroup)), p, dtype=np.int64)
+    start = 0
+    for block in blocks:
+        rows[start:start + len(block), :block.shape[1]] = block
+        start += len(block)
+    return CensusRecord(p, d, count, CensusWitnesses(p, rows), "coset-orbit-enumeration")
 
 
 def lower_bound(n: int, d: int) -> tuple[int, str]:

@@ -197,7 +197,8 @@ def _confirmed(
     _membership of the targets, row r shifted by the running sum of the
     moduli of the rows before it, takes every lookup; it is sized for a few
     per non-fixer and all |S| for the fixers +-1.  One row needs no shift
-    and no gather per candidate: its products are block * k mod its modulus.
+    and no gather per candidate: its _membership is of its own target below
+    its modulus, and its products are block * k mod that modulus.
 
     Early rejection: each round looks up a block of the next columns of S
     for the candidates that passed every earlier round, and drops those with
@@ -211,9 +212,12 @@ def _confirmed(
     """
     width = symbols.shape[1]
     lookups = min(width, 3) * len(k) + 2 * symbols.size
-    offsets = moduli.cumsum() - moduli
-    contains = _membership((targets + offsets[:, None]).ravel(), int(moduli.sum()), lookups)
     lone = len(symbols) == 1
+    if lone:
+        contains = _membership(targets[0], int(moduli[0]), lookups)
+    else:
+        offsets = moduli.cumsum() - moduli
+        contains = _membership((targets + offsets[:, None]).ravel(), int(moduli.sum()), lookups)
     # the columns of S as rows, the pivot's last
     ordered = np.concatenate((symbols[:, pivot + 1:].T, symbols[:, :pivot + 1].T))
     index = np.arange(len(k))
@@ -284,9 +288,12 @@ def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, 
             f"fixer batch of {count} rows would look up residues below {bound}, "
             f"over the limit of {_MAX_MEMBER_BOUND}"
         )
-    column = moduli[:, None]
-    plus = symbols[:, :width // 2]
-    unpaired = plus + symbols[:, ::-1][:, :width // 2] != column
+    half = width // 2
+    # the modulus of every cell of a half row, contiguous, so that numpy
+    # runs one loop over the batch rather than one per row
+    cells = np.repeat(moduli, half).reshape(count, half)
+    plus = symbols[:, :half]
+    unpaired = plus + symbols[:, ::-1][:, :half] != cells
     if width % 2 or unpaired.any():
         r = int(unpaired.any(axis=1).argmax())
         m, elements = listed[r], symbols[r]
@@ -299,13 +306,14 @@ def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, 
         raise ValueError(f"row {r} mod {m} is not distinct ascending units")
     first = plus[:, 0].tolist()
     inverse = np.array([pow(s, -1, m) for s, m in zip(first, listed)], dtype=np.int64)
-    candidates = plus * inverse[:, None] % column
-    row = np.repeat(np.arange(count), width // 2)
+    candidates = plus * inverse[:, None] % cells
+    row = np.repeat(np.arange(count), half)
     hits = np.zeros(candidates.shape, dtype=bool)
     hits.flat[_confirmed(moduli, plus, symbols, candidates.ravel(), 0, row)] = True
-    hits = np.concatenate((hits, hits), axis=1)
-    fixers = np.where(hits, np.concatenate((candidates, column - candidates), axis=1), column)
-    return np.sort(fixers, axis=1), hits.sum(axis=1)
+    fixers = np.concatenate(
+        (np.where(hits, candidates, cells), np.where(hits, cells - candidates, cells)), axis=1
+    )
+    return np.sort(fixers, axis=1), 2 * hits.sum(axis=1)
 
 
 def _lex_min(rows: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from circdeg.census import (
     witness_family,
 )
 from circdeg.circulant import (
+    ConnectionSet,
     algebraic_degree,
     coset_union,
     is_connected,
@@ -167,6 +168,39 @@ def test_prime_census_witness_properties():
             assert algebraic_degree(w) == d
             assert is_connected(w)
             assert canonical_form(w) == w
+
+
+def test_census_witnesses_are_a_read_only_view_of_padded_rows():
+    rec = prime_census(29, 7)  # |H| = 4: rows of 4, 8, ..., 24 residues, padded to 24
+    view = rec.witnesses
+    assert isinstance(view, census.CensusWitnesses)
+    assert view.rows.dtype == np.int64 and view.rows.shape == (rec.value, 24)
+    built = tuple(
+        ConnectionSet(29, tuple(r for r in row if r < 29)) for row in view.rows.tolist()
+    )
+    for row, symbol in zip(view.rows.tolist(), built):
+        assert row == [*symbol.elements, *[29] * (24 - symbol.valency())]
+    assert len(view) == len(built) == 18
+    assert view[0] == built[0] and view[4] == built[4]
+    assert view[-1] == built[-1] and view[-18] == built[0]
+    for index in (18, -19):
+        with pytest.raises(IndexError):
+            view[index]
+    for part in (slice(1, None), slice(None, None, 2), slice(-2, None, -3), slice(3, 3)):
+        sliced = view[part]
+        assert isinstance(sliced, census.CensusWitnesses)
+        assert sliced == built[part] and built[part] == sliced
+        assert list(sliced) == list(built[part])
+    assert view == built and built == view and list(built) == view
+    assert view != built[1:] and built[:-1] != view and view != built[::-1]
+    assert hash(view) == hash(built) and hash(view[1:]) == hash(built[1:])
+    empty = view[18:]
+    assert len(empty) == 0 and not empty
+    assert empty == () and () == empty and hash(empty) == hash(())
+    for rows in (view.rows, view[1:].rows, empty.rows):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[..., :1] = 1
+    assert prime_census(29, 7) == rec and hash(prime_census(29, 7)) == hash(rec)
 
 
 def test_non_canonical_witnesses_are_caught(monkeypatch):

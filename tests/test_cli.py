@@ -390,6 +390,39 @@ def test_census_witness_text_is_the_connection_set_encoding(capsys, monkeypatch,
     assert len(envelopes) == len(cases)
 
 
+@pytest.mark.parametrize("p, d", [(1009, 2), (1009, 7), (1429, 14)])
+def test_census_bulk_text_at_multi_digit_residues(monkeypatch, capsys, tmp_path, p, d):
+    # residues of one to four digits, and rows of several valencies padded
+    # with p: the bulk text must still be each witness's own encoding
+    import circdeg.cli as cli_module
+
+    envelopes = []
+    monkeypatch.setattr(cli_module, "append_cache", lambda path, env: envelopes.append(env))
+    code, out, err = run(
+        capsys, "--cache", str(tmp_path / "c.jsonl"), "census", str(p), str(d), "--witnesses"
+    )
+    record = prime_census(p, d)
+    encoded = [w.encode() for w in record.witnesses]
+    independent = [
+        f"{p}:" + ",".join(map(str, sorted(r for r in row if r < p)))
+        for row in record.witnesses.rows.tolist()
+    ]
+    assert code == EXIT_OK and err == ""
+    lines = out.splitlines()
+    assert lines[:2] == [f"count {record.value}", "method coset-orbit-enumeration"]
+    assert lines[2:] == encoded == independent
+    assert envelopes[-1].output["witnesses"] == encoded
+    # the record the benchmark's witness fault builds: all but the first
+    faulty = type(record)(**{**vars(record), "witnesses": record.witnesses[1:]})
+    monkeypatch.setattr(cli_module, "prime_census", lambda p, d: faulty)
+    code, out, _ = run(
+        capsys, "--cache", str(tmp_path / "c.jsonl"), "census", str(p), str(d), "--witnesses"
+    )
+    assert code == EXIT_OK
+    assert out.splitlines()[2:] == encoded[1:]
+    assert envelopes[-1].output["witnesses"] == encoded[1:]
+
+
 def test_census_past_the_enumeration_limit_at_a_large_prime(capsys):
     # d = 15 takes the formula path: no witnesses, so no table of p strings
     start = time.perf_counter()
