@@ -242,11 +242,17 @@ def _orbit_representatives(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _census_work(p: int, d: int) -> int:
-    """A bound on the products the fixer scan of prime_census(p, d) looks up
-    in one batch: B * (L/2)^2 for the B orbit representatives of one size m,
-    each a union of L = m * (p-1)/d residues, confirmed on its L/2 residues
-    below p/2 for its L/2 candidates.  L is even: |H| = (p-1)/d is, since d
-    divides (p-1)/2."""
+    """The work measure of prime_census(p, d) that _MAX_CENSUS_PRODUCTS
+    bounds: the most products B * (L/2)^2 that the unions of one size m
+    would need, for the B orbit representatives of that size, each a union
+    of L = m * |H| residues confirmed on its L/2 residues below p/2 for its
+    L/2 candidates.  L is even: |H| = (p-1)/d is, since d divides (p-1)/2.
+
+    The census scans all R orbit representatives in one batch of width
+    floor(d/2) * |H| (a union of more than d/2 cosets as its complement),
+    which looks up at most R * (floor(d/2) * |H|/2)^2 products.  That is at
+    most 5 times this bound: the ratio R * floor(d/2)^2 / max_m B_m * m^2
+    does not depend on p, and is largest at d = 14, where it is 4.16."""
     half = (p - 1) // d // 2
     return max(rotation_orbit_count(d, m) * (m * half) ** 2 for m in range(1, d))
 
@@ -268,25 +274,47 @@ def _least_rotation(keys: np.ndarray) -> np.ndarray:
     return keys.argmax(axis=1)
 
 
+def _union_rows(held: np.ndarray, cosets: np.ndarray, p: int, width: int) -> np.ndarray:
+    """The coset unions named by (B, d) boolean coset bits, as (B, width)
+    int64 rows: each row's residues ascending, padded on the right with p.
+    `cosets` holds the d cosets as rows, and no union holds more than
+    width / |H| of them.
+
+    Each row gathers its first width / |H| coset indices, the indices of
+    cosets it lacks replaced by a coset of pads, and sorts only its width,
+    as int32: an enumerated census has p < 2^18, since its single cosets
+    alone need (|H|/2)^2 <= _MAX_CENSUS_PRODUCTS products (_census_work)."""
+    picked = np.argsort(~held, axis=1, kind="stable")[:, :width // cosets.shape[1]]
+    picked[~np.take_along_axis(held, picked, axis=1)] = len(cosets)
+    padded = np.vstack((cosets, np.full(cosets.shape[1], p))).astype(np.int32)
+    rows = padded[picked].reshape(len(held), width)
+    rows.sort(axis=1)
+    return rows.astype(np.int64)
+
+
 def prime_census(p: int, d: int) -> CensusRecord:
     """Exact census of degree-d circulant graphs of odd prime order p.
 
     For d up to DEFAULT_ENUMERATION_LIMIT, takes the least mask of every
     rotation orbit of nonempty proper subsets of the d cosets of the
-    order-(p-1)/d subgroup H.  The unions of the same number of cosets have
-    one size, so each size is one int64 batch of residue sets, and one
-    batched fixer scan computes every fixing subgroup directly on residues.
-    H holds -1, so every union of its cosets is inverse-symmetric, and the
-    scan (circulant._unit_fixers) halves both its candidates and its
-    columns: it confirms one unit of each pair {k, -k} on the half of the
-    union below p/2, at most B * (L/2)^2 products for B unions of L
-    residues; every unit that can fix a union is still decided on residues.
-    A union must be fixed by exactly H iff its mask is aperiodic, and always
-    when its coset count is coprime to d.  The orbit count is cross-checked
-    against the closed-form count of aperiodic subsets, which is also what
-    larger d returns on its own (without witnesses, which would be
-    astronomically many).  Before H is built, the largest batch's B * (L/2)^2
-    products (_census_work) must be at most _MAX_CENSUS_PRODUCTS.
+    order-(p-1)/d subgroup H, and computes every union's fixing subgroup
+    directly on residues, in one batched fixer scan (circulant._unit_fixers)
+    of all R representatives.  At prime p the units are all nonzero
+    residues, so a unit fixes a union iff it fixes the other cosets, its
+    complement: a union of more than d/2 cosets is scanned as its
+    complement.  Every row then holds at most floor(d/2) cosets, and the
+    batch is one int64 array of width W = floor(d/2) * |H|, each row's
+    residues ascending and padded on the right with p.  H holds -1, so
+    every union of its cosets is inverse-symmetric, and the scan halves
+    both its candidates and its columns: it confirms one unit of each pair
+    {k, -k} on the columns below p/2, at most R * (W/2)^2 products; every
+    unit that can fix a union is still decided on residues.  A union must
+    be fixed by exactly H iff its mask is aperiodic, and always when its
+    coset count is coprime to d.  The orbit count is cross-checked against
+    the closed-form count of aperiodic subsets, which is also what larger d
+    returns on its own (without witnesses, which would be astronomically
+    many).  Before H is built, the work bound _census_work must be at most
+    _MAX_CENSUS_PRODUCTS; the one batch looks up at most 5 times that.
 
     Multiplying by r^i rotates coset indices by i, so a kept union's
     multiplier images are its d coset rotations, and its canonical witness
@@ -305,12 +333,12 @@ def prime_census(p: int, d: int) -> CensusRecord:
     matrix rotate[j, i] = weight[(i + j) % d], built once per census.  The
     least rotation is the one with the largest key (_least_rotation).
     Within one size, ascending witness tuples are descending keys, so
-    witnesses are ordered by (size, -key) and each is sorted once.  They are
-    returned as one read-only int64 array, a row per witness padded on the
-    right with p to the (d-1)|H| residues of the largest union, behind a
-    CensusWitnesses view: no ConnectionSet is built until a witness is
-    read.  `verify full` re-checks the example witnesses with
-    canonical_form, which works on residues.
+    witnesses are ordered by (size, -key).  They are returned as one
+    read-only int64 array, a row per witness padded on the right with p to
+    the (d-1)|H| residues of the largest union, behind a CensusWitnesses
+    view: no ConnectionSet is built until a witness is read.  `verify full`
+    re-checks the example witnesses with canonical_form, which works on
+    residues.
     """
     _validate_prime_census_args(p, d)
     formula_total = aperiodic_subset_count(d)
@@ -328,49 +356,40 @@ def prime_census(p: int, d: int) -> CensusRecord:
         )
 
     subgroup, reps = _prime_cosets(p, d)
+    order = len(subgroup)
     # row i: the residues of the coset reps[i] * H
     cosets = np.multiply.outer(
         np.array(reps, dtype=np.int64), np.array(subgroup.elements, dtype=np.int64)
     ) % p
     masks, aperiodic = _orbit_representatives(d)
-    bits = (masks[:, None] >> np.arange(d)) & 1
-    sizes = bits.sum(axis=1)
-    weight = _coset_weights(cosets)
-    rotate = weight[np.add.outer(np.arange(d), np.arange(d)) % d]
+    held = (masks[:, None] >> np.arange(d)) & 1 == 1
+    sizes = held.sum(axis=1)
+    # a unit fixes a union iff it fixes the other cosets: scan at most d/2
+    scanned = held ^ (2 * sizes > d)[:, None]
+    fixers, counts = _unit_fixers(p, _union_rows(scanned, cosets, p, d // 2 * order))
     base = np.array(subgroup.elements, dtype=np.int64)
-    blocks: list[np.ndarray] = []
-    for size in range(1, d):
-        group = sizes == size
-        held = bits[group]
-        _, indices = np.nonzero(held)
-        indices = indices.reshape(-1, size)
-        symbols = np.sort(cosets[indices].reshape(len(indices), -1), axis=1)
-        fixers, counts = _unit_fixers(p, symbols)
-        keeps = (counts == len(subgroup)) & (fixers[:, :len(subgroup)] == base).all(axis=1)
-        wrong = np.flatnonzero(keeps != aperiodic[group])
-        if wrong.size:
-            mask = int(masks[group][wrong[0]])
-            raise ConstructionError(f"coset model mismatch at p={p}, d={d}, mask={mask:b}")
-        if math.gcd(size, d) == 1 and not keeps.all():  # pragma: no cover
-            raise AssertionError(
-                f"coprime-size subset not fixed exactly by H at p={p}, d={d}"
-            )
-        # the d coset rotations of each kept union: all its multiplier images
-        kept = indices[keeps]
-        keys = held[keeps] @ rotate
-        chosen = _least_rotation(keys)
-        ranked = np.argsort(-keys[np.arange(len(kept)), chosen])
-        rotated = (kept[ranked] + chosen[ranked, None]) % d
-        blocks.append(np.sort(cosets[rotated].reshape(len(kept), -1), axis=1))
-    count = sum(len(block) for block in blocks)
+    keeps = (counts == order) & (fixers[:, :order] == base).all(axis=1)
+    wrong = np.flatnonzero(keeps != aperiodic)
+    if wrong.size:  # name the failing union of fewest cosets, then least mask
+        mask = int(masks[wrong[np.lexsort((masks[wrong], sizes[wrong]))[0]]])
+        raise ConstructionError(f"coset model mismatch at p={p}, d={d}, mask={mask:b}")
+    if not keeps[np.gcd(sizes, d) == 1].all():  # pragma: no cover
+        raise AssertionError(
+            f"coprime-size subset not fixed exactly by H at p={p}, d={d}"
+        )
+    count = int(keeps.sum())
     if count != formula_count:
         raise AssertionError(f"enumerated {count} orbits but formula gives {formula_count}")
-    # one row per witness, in the order above, padded on the right with p
-    rows = np.full((count, (d - 1) * len(subgroup)), p, dtype=np.int64)
-    start = 0
-    for block in blocks:
-        rows[start:start + len(block), :block.shape[1]] = block
-        start += len(block)
+    # the d coset rotations of each kept union: all its multiplier images
+    kept = held[keeps]
+    weight = _coset_weights(cosets)
+    rotate = weight[np.add.outer(np.arange(d), np.arange(d)) % d]
+    keys = kept @ rotate
+    chosen = _least_rotation(keys)
+    # witnesses by (size, -key); rotation i moves coset j to j + i
+    ranked = np.lexsort((-keys[np.arange(count), chosen], sizes[keeps]))
+    turned = np.take_along_axis(kept[ranked], (np.arange(d) - chosen[ranked, None]) % d, axis=1)
+    rows = _union_rows(turned, cosets, p, (d - 1) * order)
     return CensusRecord(p, d, count, CensusWitnesses(p, rows), "coset-orbit-enumeration")
 
 

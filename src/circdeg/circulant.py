@@ -112,8 +112,8 @@ def _check_listed(n: int, count: int) -> None:
 
 def _membership(values: np.ndarray, bound: int, lookups: int):
     """x -> x in values, elementwise, for int64 arrays x with entries in
-    [0, bound) and about `lookups` entries in all; values sorted, distinct
-    and below bound.
+    [0, bound) and about `lookups` entries in all; values sorted (repeats
+    allowed) and below bound.
 
     A boolean table of bound cells when that is at most
     _TABLE_CELLS_PER_LOOKUP cells per lookup and at most _MAX_MEMBER_TABLE
@@ -244,59 +244,28 @@ def _confirmed(
     return index
 
 
-def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The fixers of (B, L) nonempty inverse-symmetric symbols made only of
-    units, all at once.
+def _paired_sizes(moduli: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """The residue count L of each row of a padded batch (see _unit_fixers),
+    after checking that every row is ascending, pads last, with L even and
+    nonzero and residue j paired with residue L-1-j as s and m - s.
 
-    n is the modulus of every row (an int, as in the census) or an int64
-    array of one modulus per row (as in the table), broadcast to one per
-    row.  Returns two int64 arrays: (B, L) the fixers of each row ascending,
-    padded with the row's modulus, and (B,) the fixer count of each row.
-
-    A unit k that fixes S maps s0 = S[0] into S, so the fixers of row S lie
-    among S * s0^-1, all units.  S = -S halves that scan twice.  At n >= 3
-    no unit equals n/2, so a sorted row S has even width and its first half
-    S+ lies below n/2, with S = S+ u -S+.
-
-    - Half the columns: if k*S+ lies in S, then k*(-s) = -(k*s) lies in
-      -S = S, so kS lies in S, and kS = S because k is a unit.
-    - Half the candidates: (-k)*S = k*(-S) = kS, so k fixes S iff -k does.
-      The map s -> s * s0^-1 commutes with negation, so S+ * s0^-1 holds
-      one candidate of each +- pair of S * s0^-1.
-
-    So only the candidates S+ * s0^-1 are confirmed, each on the columns S+
-    looked up in S, pivot s0 last: at most B * (L/2)^2 products in one
-    _confirmed pass.  The fixers are the hits k and n - k, 2 |hits| of
-    them.  No unit is listed and nothing is sorted but the fixers found.
-
-    Raises ValueError, before any product: for a modulus below 3; past the
-    scan's limits on a modulus and on the L candidates per row; when the
-    membership bound (the sum of the rows' moduli) is over
-    _MAX_MEMBER_BOUND, past which the shifted residues leave int64; and for
-    a row that is not inverse-symmetric, naming its modulus and a residue
-    whose inverse is missing.
+    Raises ValueError for the first row that is not, naming its modulus and
+    a residue whose inverse is missing, if there is one.
     """
     count, width = symbols.shape
-    moduli = np.full(count, n)
-    listed = moduli.tolist()
-    if min(listed, default=3) < 3:
-        raise ValueError(f"fixer batch needs moduli of at least 3, got {min(listed)}")
-    _check_listed(max(listed, default=0), width)
-    bound = sum(listed)
-    if bound > _MAX_MEMBER_BOUND:
-        raise ValueError(
-            f"fixer batch of {count} rows would look up residues below {bound}, "
-            f"over the limit of {_MAX_MEMBER_BOUND}"
-        )
-    half = width // 2
-    # the modulus of every cell of a half row, contiguous, so that numpy
-    # runs one loop over the batch rather than one per row
-    cells = np.repeat(moduli, half).reshape(count, half)
-    plus = symbols[:, :half]
-    unpaired = plus + symbols[:, ::-1][:, :half] != cells
-    if width % 2 or unpaired.any():
-        r = int(unpaired.any(axis=1).argmax())
-        m, elements = listed[r], symbols[r]
+    column = np.arange(width // 2)
+    sizes = np.count_nonzero(symbols < moduli[:, None], axis=1)
+    # the flat index of each row's last residue; the partner of column j is j before it
+    last = np.arange(count) * width + sizes - 1
+    partner = np.take(symbols, last[:, None] - column, mode="clip")
+    unpaired = symbols[:, :width // 2] + partner != moduli[:, None]
+    unpaired &= column < sizes[:, None] // 2
+    bad = unpaired.any(axis=1) | (sizes % 2 == 1) | (sizes == 0)
+    bad |= (symbols[:, 1:] < symbols[:, :-1]).any(axis=1)
+    if bad.any():
+        r = int(bad.argmax())
+        m, elements = int(moduli[r]), symbols[r]
+        elements = elements[elements < m]
         lacking = elements[~np.isin(m - elements, elements)]
         if lacking.size:
             raise ValueError(
@@ -304,16 +273,86 @@ def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, 
                 f"but {m - lacking[0]} is not"
             )
         raise ValueError(f"row {r} mod {m} is not distinct ascending units")
-    first = plus[:, 0].tolist()
-    inverse = np.array([pow(s, -1, m) for s, m in zip(first, listed)], dtype=np.int64)
-    candidates = plus * inverse[:, None] % cells
-    row = np.repeat(np.arange(count), half)
-    hits = np.zeros(candidates.shape, dtype=bool)
-    hits.flat[_confirmed(moduli, plus, symbols, candidates.ravel(), 0, row)] = True
-    fixers = np.concatenate(
-        (np.where(hits, candidates, cells), np.where(hits, cells - candidates, cells)), axis=1
-    )
-    return np.sort(fixers, axis=1), 2 * hits.sum(axis=1)
+    return sizes
+
+
+def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fixers of (B, W) nonempty inverse-symmetric symbols made only of
+    units, all at once.
+
+    n is the modulus of every row (an int, as in the census) or an int64
+    array of one modulus per row (as in the table), broadcast to one per
+    row.  Row r holds its residues ascending, padded on the right with its
+    modulus m (which no residue equals) to the batch's width W, so symbols
+    of any sizes share one batch.  Returns two int64 arrays: (B, W) the
+    fixers of each row ascending, padded the same way, and (B,) the fixer
+    count of each row.
+
+    A unit k that fixes S maps s0 = S[0] into S, so the fixers of row S lie
+    among S * s0^-1, all units.  S = -S halves that scan twice.  At n >= 3
+    no unit equals n/2, so a row of L residues has L even, and its first
+    L/2 residues S+ lie below n/2, with S = S+ u -S+.
+
+    - Half the columns: if k*S+ lies in S, then k*(-s) = -(k*s) lies in
+      -S = S, so kS lies in S, and kS = S because k is a unit.
+    - Half the candidates: (-k)*S = k*(-S) = kS, so k fixes S iff -k does.
+      The map s -> s * s0^-1 commutes with negation, so S+ * s0^-1 holds
+      one candidate of each +- pair of S * s0^-1.
+
+    So only the candidates S+ * s0^-1 are confirmed, each on the first W/2
+    columns looked up in S, pivot s0 last: at most B * (W/2)^2 products in
+    one _confirmed pass.  In a row of L < W residues those columns also
+    hold residues above m/2 or pads; each is looked up as s0, which every
+    candidate s * s0^-1 maps to s in S, so it always hits.  The pads are
+    left out of the membership values: in the targets each stands as its
+    row's largest residue m - s0.  The fixers are the hits k and m - k,
+    2 |hits| of them.  Each distinct (s0, m) is inverted once: a census
+    has at most d distinct first residues, and every subgroup starts at 1.
+    No unit is listed and nothing is sorted but the fixers found.
+
+    Raises ValueError, before any product: for a modulus below 3; past the
+    scan's limits on a modulus and on the W candidates per row; when the
+    membership bound (the sum of the rows' moduli) is over
+    _MAX_MEMBER_BOUND, past which the shifted residues leave int64; and for
+    a row that is not inverse-symmetric, naming its modulus and a residue
+    whose inverse is missing, or that is empty, has an odd number of
+    residues, or is not ascending (a residue after a pad).
+    """
+    count, width = symbols.shape
+    moduli = np.full(count, n)
+    listed = moduli.tolist()
+    if min(listed, default=3) < 3:
+        raise ValueError(f"fixer batch needs moduli of at least 3, got {min(listed)}")
+    top = max(listed, default=0)
+    _check_listed(top, width)
+    bound = sum(listed)
+    if bound > _MAX_MEMBER_BOUND:
+        raise ValueError(
+            f"fixer batch of {count} rows would look up residues below {bound}, "
+            f"over the limit of {_MAX_MEMBER_BOUND}"
+        )
+    half = width // 2
+    sizes = _paired_sizes(moduli, symbols)
+    low = np.arange(half) < sizes[:, None] // 2
+    plus = symbols[:, :half]
+    first = symbols[:, 0]
+    # s0 < m <= top, so s0 + m * top names a pair in int64 (top^2 + top < 2^63)
+    pairs, which = np.unique(first + moduli * top, return_inverse=True)
+    inverse = np.array([pow(k % top, -1, k // top) for k in pairs.tolist()], dtype=np.int64)
+    tried = np.flatnonzero(low)
+    row = np.repeat(np.arange(count), sizes // 2)
+    k = (plus * inverse[which][:, None] % moduli[:, None])[low]
+    looked_up = np.where(low, plus, first[:, None])
+    targets = np.minimum(symbols, (moduli - first)[:, None])
+    found = _confirmed(moduli, looked_up, targets, k, 0, row)
+    # each hit k at its candidate's column, and n - k half a row further on
+    at, k, row = tried[found] + row[found] * (width - half), k[found], row[found]
+    fixers = np.repeat(moduli, width)
+    fixers[at] = k
+    fixers[at + half] = moduli[row] - k
+    fixers = fixers.reshape(count, width)
+    fixers.sort(axis=1)
+    return fixers, 2 * np.bincount(row, minlength=count)
 
 
 def _lex_min(rows: np.ndarray) -> np.ndarray:
@@ -499,7 +538,7 @@ def _regular_constructions(
     pairs: Sequence[tuple[int, int]],
 ) -> tuple[list[ConnectionSet], Optional[Exception]]:
     """regular_construction(n, d) for every pair, degrees checked in one
-    _unit_fixers scan per valency.
+    _unit_fixers scan of all the symbols, each row padded with its modulus.
 
     Returns the symbols of the pairs before the lowest-index pair that
     fails, and that pair's refusal, the exception regular_construction
@@ -520,21 +559,17 @@ def _regular_constructions(
             break
         built.append(symbol)
         phis.append(phi)
-    moduli = np.array([symbol.n for symbol in built], dtype=np.int64)
-    degrees = np.array([d for _, d in pairs[:len(built)]], dtype=np.int64)
-    totients = np.array(phis, dtype=np.int64)
-    groups: dict[int, list[int]] = {}
-    for i, symbol in enumerate(built):
-        groups.setdefault(symbol.valency(), []).append(i)
-    wrong = len(built)
-    for group in groups.values():
-        rows = np.array(group)
-        symbols = np.array([built[i].elements for i in group], dtype=np.int64)
-        _, counts = _unit_fixers(moduli[rows], symbols)
-        failed = rows[counts * degrees[rows] != totients[rows]]
+    if built:
+        moduli = np.array([symbol.n for symbol in built], dtype=np.int64)
+        sizes = np.array([symbol.valency() for symbol in built])
+        width = int(sizes.max())
+        symbols = np.repeat(moduli, width).reshape(len(built), width)
+        symbols[np.arange(width) < sizes[:, None]] = [s for b in built for s in b.elements]
+        _, counts = _unit_fixers(moduli, symbols)
+        degrees = np.array([d for _, d in pairs[:len(built)]], dtype=np.int64)
+        failed = np.flatnonzero(counts * degrees != np.array(phis, dtype=np.int64))
         if failed.size:
-            wrong = min(wrong, int(failed[0]))
-    if wrong < len(built):
-        n, d = pairs[wrong]
-        return built[:wrong], ConstructionError(f"subgroup construction ({n}, {d}) failed")
+            wrong = int(failed[0])
+            n, d = pairs[wrong]
+            return built[:wrong], ConstructionError(f"subgroup construction ({n}, {d}) failed")
     return built, refusal

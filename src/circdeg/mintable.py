@@ -7,7 +7,7 @@ degrees in one scan, each block against every pending degree at once.
 C(1) = 1: the one-vertex graph is already integral.  Each table row carries
 a verified witness graph of degree exactly d on C(d) vertices: the
 inverse-symmetric subgroup of order phi(C(d))/d, built for every row and
-then checked, for all rows at once, by one batched fixer scan per valency
+then checked, for all rows at once, by one batched fixer scan
 (circulant._regular_constructions) to have exactly phi(C(d))/d fixers.
 """
 

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from circdeg import census, verify
+from circdeg import census, circulant, verify
 from circdeg.census import (
     CensusRecord,
     admits_degree,
@@ -24,11 +24,13 @@ from circdeg.circulant import (
     ConnectionSet,
     algebraic_degree,
     coset_union,
+    fixing_subgroup,
     is_connected,
     make_connection_set,
     multiplier_isomorphic,
 )
 from circdeg.integral import count_connected_integral
+from circdeg.mintable import degree_table
 from circdeg.numtheory import divisors, euler_phi, is_prime
 from circdeg.unitgroup import (
     ConstructionError,
@@ -232,8 +234,9 @@ def test_coset_keys_order_unions_as_their_sorted_residues(p, d):
 
 @pytest.mark.parametrize("p, d", [(11, 5), (13, 3), (29, 14), (53, 13), (73, 12)])
 def test_rotation_keys_are_the_gathered_sums_per_rotation(monkeypatch, p, d):
-    # the keys prime_census hands _least_rotation, one batch per union size,
-    # against sum over held cosets j of weight[(j + i) % d] for each rotation i
+    # the keys prime_census hands _least_rotation, one batch of every kept
+    # union in mask order, against sum over held cosets j of
+    # weight[(j + i) % d] for each rotation i
     batches = []
     least_rotation = census._least_rotation
 
@@ -248,12 +251,11 @@ def test_rotation_keys_are_the_gathered_sums_per_rotation(monkeypatch, p, d):
     weight = census._coset_weights(cosets)
     masks, aperiodic = census._orbit_representatives(d)
     kept = [[j for j in range(d) if m >> j & 1] for m in masks[aperiodic].tolist()]
-    assert len(batches) == d - 1
-    for size, keys in enumerate(batches, start=1):
-        held = np.array([k for k in kept if len(k) == size], dtype=np.int64).reshape(-1, size)
-        gathered = weight[(held[:, None, :] + np.arange(d)[:, None]) % d].sum(axis=2)
-        assert keys.dtype == np.int64
-        assert np.array_equal(keys, gathered), size
+    assert len(batches) == 1
+    (keys,) = batches
+    gathered = [[int(weight[(np.array(held) + i) % d].sum()) for i in range(d)] for held in kept]
+    assert keys.dtype == np.int64
+    assert keys.tolist() == gathered
 
 
 def test_prime_census_work_limit_boundary(monkeypatch):
@@ -288,15 +290,76 @@ def test_prime_census_catches_a_wrong_fixing_subgroup(monkeypatch):
 
     def drop_one_unit(p, symbols):
         fixers, counts = scan(p, symbols)
-        if symbols.shape[1] == 4:  # the unions of two cosets of {1, 10} mod 11
-            fixers[-1] = np.append(fixers[-1, 1:], p)
-            counts[-1] -= 1
+        # the row of mask 101, the cosets {1, 10} and {4, 7} of {1, 10} mod 11
+        (row,) = np.flatnonzero((symbols == [1, 4, 7, 10]).all(axis=1))
+        fixers[row] = np.append(fixers[row, 1:], p)
+        counts[row] -= 1
         return fixers, counts
 
     monkeypatch.setattr(census, "_unit_fixers", drop_one_unit)
     # the two-coset orbits are led by the masks 11 and 101
     with pytest.raises(ConstructionError, match=r"p=11, d=5, mask=101$"):
         prime_census(11, 5)
+
+
+def test_census_keeps_exactly_the_unions_fixed_by_h_alone():
+    # every census with p < 100: the witnesses are the canonical forms of
+    # the orbit representatives whose lone fixing_subgroup (_mappers, one
+    # symbol at a time, never the batch) is H, one each
+    cases = [
+        (p, d) for p in range(3, 100) if is_prime(p)
+        for d in range(2, census.DEFAULT_ENUMERATION_LIMIT + 1) if (p - 1) // 2 % d == 0
+    ]
+    assert len(cases) == 55
+    for p, d in cases:
+        subgroup, reps = census._prime_cosets(p, d)
+        masks, _ = census._orbit_representatives(d)
+        kept = set()
+        for mask in masks.tolist():
+            union = coset_union(p, subgroup, [reps[i] for i in range(d) if mask >> i & 1])
+            if fixing_subgroup(union).elements == subgroup.elements:
+                kept.add(canonical_form(union))
+        record = prime_census(p, d)
+        assert len(record.witnesses) == len(kept) and set(record.witnesses) == kept, (p, d)
+
+
+def test_one_fixer_scan_per_census_and_per_table(monkeypatch):
+    calls = []
+
+    def counted(scan):
+        def scan_once(n, symbols):
+            calls.append(symbols.shape)
+            return scan(n, symbols)
+
+        return scan_once
+
+    monkeypatch.setattr(census, "_unit_fixers", counted(census._unit_fixers))
+    for p, d in ((11, 5), (29, 14), (53, 13), (73, 12), (337, 12)):
+        calls.clear()
+        prime_census(p, d)
+        # every orbit representative, each at most d/2 cosets wide
+        (shape,) = calls
+        assert shape == (len(census._orbit_representatives(d)[0]), d // 2 * ((p - 1) // d))
+    monkeypatch.setattr(circulant, "_unit_fixers", counted(circulant._unit_fixers))
+    for d_max in (2, 10, 100, 1000):
+        calls.clear()
+        degree_table(d_max)
+        assert len(calls) == 1, d_max
+
+
+def test_census_work_bounds_the_one_batch():
+    # the one batch looks up at most R * (floor(d/2) * |H|/2)^2 products, at
+    # most 5 * _census_work for every enumerated d; both scale as (|H|/2)^2,
+    # and the ratio is largest at d = 14
+    ratios = {}
+    for d in range(2, census.DEFAULT_ENUMERATION_LIMIT + 1):
+        representatives = len(census._orbit_representatives(d)[0])
+        for half in (1, 3, 50):
+            p = 2 * d * half + 1  # (p-1)/d = |H| = 2 * half
+            batch = representatives * (d // 2 * half) ** 2
+            assert batch <= 5 * census._census_work(p, d), (d, half)
+            ratios[d] = batch / census._census_work(p, d)
+    assert max(ratios, key=ratios.get) == 14 and 4.16 < ratios[14] < 4.17
 
 
 def test_prime_census_checks_the_orbit_count_against_the_formula(monkeypatch):

@@ -24,7 +24,13 @@ from circdeg.circulant import (
     regular_construction,
 )
 from circdeg.numtheory import divisors, euler_phi, is_prime
-from circdeg.unitgroup import Subgroup, cosets, inverse_symmetric_subgroup, units
+from circdeg.unitgroup import (
+    Subgroup,
+    cosets,
+    inverse_symmetric_subgroup,
+    unique_subgroup_mod_prime,
+    units,
+)
 
 
 def random_symbol(rng, n):
@@ -541,6 +547,81 @@ def test_halved_unit_scan_refuses_rows_it_cannot_halve(monkeypatch):
         (8, [[2, 4, 6]], r"^row 0 mod 8 is not distinct ascending units$"),
         (2, [[1]], r"^fixer batch needs moduli of at least 3, got 2$"),
         (np.array([13, 2]), [[1, 12], [1, 1]], r"^fixer batch needs moduli of at least 3, got 2$"),
+    ]
+    for n, symbols, message in cases:
+        with pytest.raises(ValueError, match=message):
+            circulant._unit_fixers(n, np.array(symbols, dtype=np.int64))
+
+
+def padded(moduli, rows, width):
+    """Rows of residues as one int64 (B, width) batch, row r padded on the
+    right with its modulus."""
+    out = np.repeat(np.array(moduli, dtype=np.int64), width).reshape(len(rows), width)
+    for r, row in enumerate(rows):
+        out[r, :len(row)] = row
+    return out
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_padded_rows_of_mixed_widths_match_reference_fixers(monkeypatch, small_blocks):
+    if small_blocks:
+        # Steps of at most 8 products, and binary search in place of the table.
+        monkeypatch.setattr(circulant, "_BLOCK_PRODUCTS", 8)
+        monkeypatch.setattr(circulant, "_MAX_MEMBER_TABLE", 0)
+    rng = random.Random(61)
+    # one modulus per batch, prime and composite, as in the census; rows of
+    # 1 to 6 pairs {u, n - u} and coset rows, padded to the widest row, one
+    # column more (an odd width) and two more
+    for n in (13, 73, 720, 1001):
+        pairs = [1, 2, 3, 6, 4, 1, 5]
+        rows = [symmetric_unit_rows(rng, n, c, 1)[0] for c in pairs]
+        if euler_phi(n) % 4 == 0:
+            rows += [row for batch in coset_rows(n, 4) for row in batch]
+        widest = max(map(len, rows))
+        for width in (widest, widest + 1, widest + 2):
+            got = unit_fixer_tuples(n, padded([n] * len(rows), rows, width))
+            assert got == [reference_fixers(ConnectionSet(n, row)) for row in rows], (n, width)
+    # one modulus per row, as in the table, with rows of different sizes
+    moduli = [5, 7, 12, 13, 15, 16, 21, 73, 91, 720, 1001]
+    rows = [symmetric_unit_rows(rng, m, 1 + i % min(4, euler_phi(m) // 2), 1)[0]
+            for i, m in enumerate(moduli)]
+    rows += [inverse_symmetric_subgroup(m, 4).elements for m in moduli if euler_phi(m) % 4 == 0]
+    moduli += [m for m in moduli if euler_phi(m) % 4 == 0]
+    for width in (max(map(len, rows)), max(map(len, rows)) + 3):
+        got = unit_fixer_tuples(np.array(moduli), padded(moduli, rows, width))
+        assert got == [reference_fixers(ConnectionSet(m, row)) for m, row in zip(moduli, rows)]
+
+
+def test_fixers_of_a_union_are_the_fixers_of_its_complement():
+    # At prime p every nonzero residue is a unit, so k fixes S iff it fixes
+    # the other residues: random coset unions and their complements, in
+    # one padded batch, as the census scans a union of over d/2 cosets.
+    rng = random.Random(67)
+    for p, d in ((11, 5), (29, 7), (37, 9), (61, 10), (73, 12), (97, 8)):
+        rows = cosets(p, unique_subgroup_mod_prime(p, (p - 1) // d))
+        unions = []
+        for _ in range(6):
+            held = rng.sample(range(d), rng.randint(1, d - 1))
+            unions.append(tuple(sorted(s for i in held for s in rows[i])))
+        complements = [tuple(s for s in range(1, p) if s not in union) for union in unions]
+        batch = unions + complements
+        got = unit_fixer_tuples(p, padded([p] * len(batch), batch, p - 1))
+        assert got[:6] == got[6:]
+        assert got == [reference_fixers(ConnectionSet(p, row)) for row in batch]
+
+
+def test_padded_unit_scan_refuses_misplaced_pads_and_odd_widths(monkeypatch):
+    monkeypatch.setattr(circulant, "_confirmed", refuse_work)
+    cases = [
+        # a pad followed by a residue: not ascending
+        (13, [[1, 12, 13, 13], [1, 13, 12, 13]], r"^row 1 mod 13 is not distinct ascending units$"),
+        (np.array([13, 7]), [[1, 12, 13], [1, 7, 6]],
+         r"^row 1 mod 7 is not distinct ascending units$"),
+        # an odd number of residues before the pads, and none at all
+        (13, [[1, 12, 13, 13], [1, 13, 13, 13]],
+         r"^row 1 mod 13 is not inverse-symmetric: 1 is present but 12 "),
+        (8, [[1, 7, 8, 8], [2, 4, 6, 8]], r"^row 1 mod 8 is not distinct ascending units$"),
+        (13, [[1, 12], [13, 13]], r"^row 1 mod 13 is not distinct ascending units$"),
     ]
     for n, symbols, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -171,9 +171,10 @@ def test_census_coset_model_mismatch_exits_3(capsys, monkeypatch):
 
     def drop_one_unit(p, symbols):
         fixers, counts = scan(p, symbols)
-        if symbols.shape[1] == 4:  # the unions of two cosets of {1, 10} mod 11
-            fixers[-1] = np.append(fixers[-1, 1:], p)
-            counts[-1] -= 1
+        # the row of mask 101, the cosets {1, 10} and {4, 7} of {1, 10} mod 11
+        (row,) = np.flatnonzero((symbols == [1, 4, 7, 10]).all(axis=1))
+        fixers[row] = np.append(fixers[row, 1:], p)
+        counts[row] -= 1
         return fixers, counts
 
     monkeypatch.setattr(census_module, "_unit_fixers", drop_one_unit)

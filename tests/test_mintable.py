@@ -220,8 +220,11 @@ def test_batched_fixer_counts_match_the_lone_symbol_scan(monkeypatch):
 
     def recorded(n, symbols):
         fixers, counts = scan(n, symbols)
+        assert fixers.shape == symbols.shape
         moduli = np.broadcast_to(n, len(symbols)).tolist()
-        scanned.extend(zip(moduli, symbols.tolist(), fixers.tolist(), counts.tolist()))
+        # each row without its pads, which are its modulus
+        rows = [[s for s in row if s < m] for m, row in zip(moduli, symbols.tolist())]
+        scanned.extend(zip(moduli, rows, fixers.tolist(), counts.tolist()))
         return fixers, counts
 
     monkeypatch.setattr(circulant, "_unit_fixers", recorded)
@@ -234,7 +237,7 @@ def test_batched_fixer_counts_match_the_lone_symbol_scan(monkeypatch):
     for n, row, fixers, count in scanned:
         lone = circulant.fixing_subgroup(ConnectionSet(n, tuple(row))).elements
         assert (count, tuple(fixers[:count])) == (len(lone), lone), (n, row)
-        assert fixers[count:] == [n] * (len(row) - count)
+        assert fixers[count:] == [n] * (len(fixers) - count)
 
 
 def test_prime_bound_column():
