@@ -308,13 +308,15 @@ def prime_census(p: int, d: int) -> CensusRecord:
     every union of its cosets is inverse-symmetric, and the scan halves
     both its candidates and its columns: it confirms one unit of each pair
     {k, -k} on the columns below p/2, at most R * (W/2)^2 products; every
-    unit that can fix a union is still decided on residues.  A union must
-    be fixed by exactly H iff its mask is aperiodic, and always when its
-    coset count is coprime to d.  The orbit count is cross-checked against
-    the closed-form count of aperiodic subsets, which is also what larger d
-    returns on its own (without witnesses, which would be astronomically
-    many).  Before H is built, the work bound _census_work must be at most
-    _MAX_CENSUS_PRODUCTS; the one batch looks up at most 5 times that.
+    unit that can fix a union is still decided on residues.  A union is
+    fixed by exactly H iff it has |H|/2 hits, all in H (each hit k brings
+    -k, in H iff k is), which must hold iff its mask is aperiodic, and
+    always when its coset count is coprime to d.  The orbit count must
+    equal the closed-form count of aperiodic subsets, which is also what
+    larger d returns on its own (without witnesses, which would be
+    astronomically many).  Before H is built, the work bound _census_work
+    must be at most _MAX_CENSUS_PRODUCTS; the one batch looks up at most 5
+    times that.
 
     Multiplying by r^i rotates coset indices by i, so a kept union's
     multiplier images are its d coset rotations, and its canonical witness
@@ -366,9 +368,11 @@ def prime_census(p: int, d: int) -> CensusRecord:
     sizes = held.sum(axis=1)
     # a unit fixes a union iff it fixes the other cosets: scan at most d/2
     scanned = held ^ (2 * sizes > d)[:, None]
-    fixers, counts = _unit_fixers(p, _union_rows(scanned, cosets, p, d // 2 * order))
-    base = np.array(subgroup.elements, dtype=np.int64)
-    keeps = (counts == order) & (fixers[:, :order] == base).all(axis=1)
+    k, row = _unit_fixers(p, _union_rows(scanned, cosets, p, d // 2 * order))
+    in_h = np.zeros(p, dtype=bool)
+    in_h[list(subgroup.elements)] = True
+    keeps = 2 * np.bincount(row, minlength=len(masks)) == order
+    keeps &= np.bincount(row[~in_h[k]], minlength=len(masks)) == 0
     wrong = np.flatnonzero(keeps != aperiodic)
     if wrong.size:  # name the failing union of fewest cosets, then least mask
         mask = int(masks[wrong[np.lexsort((masks[wrong], sizes[wrong]))[0]]])
@@ -379,7 +383,7 @@ def prime_census(p: int, d: int) -> CensusRecord:
         )
     count = int(keeps.sum())
     if count != formula_count:
-        raise AssertionError(f"enumerated {count} orbits but formula gives {formula_count}")
+        raise ConstructionError(f"enumerated {count} orbits but formula gives {formula_count}")
     # the d coset rotations of each kept union: all its multiplier images
     kept = held[keeps]
     weight = _coset_weights(cosets)

@@ -284,9 +284,9 @@ def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, 
     array of one modulus per row (as in the table), broadcast to one per
     row.  Row r holds its residues ascending, padded on the right with its
     modulus m (which no residue equals) to the batch's width W, so symbols
-    of any sizes share one batch.  Returns two int64 arrays: (B, W) the
-    fixers of each row ascending, padded the same way, and (B,) the fixer
-    count of each row.
+    of any sizes share one batch.  Returns two int64 arrays of one entry
+    per hit: the units k confirmed, one of each pair {k, m - k} of a row's
+    fixers, and the row each one fixes, in _confirmed's order (unsorted).
 
     A unit k that fixes S maps s0 = S[0] into S, so the fixers of row S lie
     among S * s0^-1, all units.  S = -S halves that scan twice.  At n >= 3
@@ -305,10 +305,11 @@ def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, 
     hold residues above m/2 or pads; each is looked up as s0, which every
     candidate s * s0^-1 maps to s in S, so it always hits.  The pads are
     left out of the membership values: in the targets each stands as its
-    row's largest residue m - s0.  The fixers are the hits k and m - k,
-    2 |hits| of them.  Each distinct (s0, m) is inverted once: a census
-    has at most d distinct first residues, and every subgroup starts at 1.
-    No unit is listed and nothing is sorted but the fixers found.
+    row's largest residue m - s0.  Each hit k brings m - k: the fixers of
+    row r are its hits k and m_r - k, 2 |hits| of them.  Each distinct
+    (s0, m) is inverted once: a census has at most d distinct first
+    residues, and every subgroup starts at 1.  No unit is listed and
+    nothing is sorted.
 
     Raises ValueError, before any product: for a modulus below 3; past the
     scan's limits on a modulus and on the W candidates per row; when the
@@ -339,20 +340,12 @@ def _unit_fixers(n: int | np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, 
     # s0 < m <= top, so s0 + m * top names a pair in int64 (top^2 + top < 2^63)
     pairs, which = np.unique(first + moduli * top, return_inverse=True)
     inverse = np.array([pow(k % top, -1, k // top) for k in pairs.tolist()], dtype=np.int64)
-    tried = np.flatnonzero(low)
     row = np.repeat(np.arange(count), sizes // 2)
     k = (plus * inverse[which][:, None] % moduli[:, None])[low]
     looked_up = np.where(low, plus, first[:, None])
     targets = np.minimum(symbols, (moduli - first)[:, None])
     found = _confirmed(moduli, looked_up, targets, k, 0, row)
-    # each hit k at its candidate's column, and n - k half a row further on
-    at, k, row = tried[found] + row[found] * (width - half), k[found], row[found]
-    fixers = np.repeat(moduli, width)
-    fixers[at] = k
-    fixers[at + half] = moduli[row] - k
-    fixers = fixers.reshape(count, width)
-    fixers.sort(axis=1)
-    return fixers, 2 * np.bincount(row, minlength=count)
+    return k[found], row[found]
 
 
 def _lex_min(rows: np.ndarray) -> np.ndarray:
@@ -538,7 +531,8 @@ def _regular_constructions(
     pairs: Sequence[tuple[int, int]],
 ) -> tuple[list[ConnectionSet], Optional[Exception]]:
     """regular_construction(n, d) for every pair, degrees checked in one
-    _unit_fixers scan of all the symbols, each row padded with its modulus.
+    _unit_fixers scan of all the symbols, each row padded with its modulus:
+    a symbol's fixers are its hits k and n - k, twice as many as its hits.
 
     Returns the symbols of the pairs before the lowest-index pair that
     fails, and that pair's refusal, the exception regular_construction
@@ -565,7 +559,8 @@ def _regular_constructions(
         width = int(sizes.max())
         symbols = np.repeat(moduli, width).reshape(len(built), width)
         symbols[np.arange(width) < sizes[:, None]] = [s for b in built for s in b.elements]
-        _, counts = _unit_fixers(moduli, symbols)
+        _, row = _unit_fixers(moduli, symbols)
+        counts = 2 * np.bincount(row, minlength=len(built))
         degrees = np.array([d for _, d in pairs[:len(built)]], dtype=np.int64)
         failed = np.flatnonzero(counts * degrees != np.array(phis, dtype=np.int64))
         if failed.size:

@@ -289,12 +289,11 @@ def test_prime_census_catches_a_wrong_fixing_subgroup(monkeypatch):
     scan = census._unit_fixers
 
     def drop_one_unit(p, symbols):
-        fixers, counts = scan(p, symbols)
-        # the row of mask 101, the cosets {1, 10} and {4, 7} of {1, 10} mod 11
-        (row,) = np.flatnonzero((symbols == [1, 4, 7, 10]).all(axis=1))
-        fixers[row] = np.append(fixers[row, 1:], p)
-        counts[row] -= 1
-        return fixers, counts
+        k, row = scan(p, symbols)
+        # a hit of the row of mask 101, the cosets {1, 10} and {4, 7} of {1, 10} mod 11
+        (union,) = np.flatnonzero((symbols == [1, 4, 7, 10]).all(axis=1))
+        dropped = np.flatnonzero(row == union)[0]
+        return np.delete(k, dropped), np.delete(row, dropped)
 
     monkeypatch.setattr(census, "_unit_fixers", drop_one_unit)
     # the two-coset orbits are led by the masks 11 and 101
@@ -365,7 +364,7 @@ def test_census_work_bounds_the_one_batch():
 def test_prime_census_checks_the_orbit_count_against_the_formula(monkeypatch):
     formula = census.aperiodic_subset_count
     monkeypatch.setattr(census, "aperiodic_subset_count", lambda d: formula(d) + d)
-    with pytest.raises(AssertionError, match="enumerated 6 orbits but formula gives 7"):
+    with pytest.raises(ConstructionError, match="enumerated 6 orbits but formula gives 7"):
         prime_census(11, 5)
 
 

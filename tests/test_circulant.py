@@ -352,13 +352,20 @@ def test_pruned_scan_misses_fixers_from_the_first_lift_alone(monkeypatch):
 
 
 def unit_fixer_tuples(n, symbols):
-    """circulant._unit_fixers as one tuple of fixers per row, after checking
-    that each row is padded with its modulus."""
-    fixers, counts = circulant._unit_fixers(n, symbols)
+    """circulant._unit_fixers as one ascending tuple of fixers per row,
+    rebuilt from its hits k and m - k, after checking that the hits of a
+    row are distinct units below its modulus m, none the negative m - k of
+    another hit."""
+    k, row = circulant._unit_fixers(n, symbols)
     moduli = np.broadcast_to(n, len(symbols)).tolist()
-    rows = zip(fixers.tolist(), counts.tolist(), moduli)
-    assert all(f[c:] == [m] * (len(f) - c) for f, c, m in rows)
-    return [tuple(f[:c]) for f, c in zip(fixers.tolist(), counts.tolist())]
+    assert k.shape == row.shape and all(0 <= r < len(moduli) for r in row.tolist())
+    hits = [[] for _ in moduli]
+    for unit, r in zip(k.tolist(), row.tolist()):
+        hits[r].append(unit)
+    for m, h in zip(moduli, hits):
+        assert len(set(h)) == len(h) and all(0 < u < m for u in h)
+        assert not set(h) & {m - u for u in h}, (m, h)
+    return [tuple(sorted(h + [m - u for u in h])) for m, h in zip(moduli, hits)]
 
 
 def reference_batch_scan(n, elements):

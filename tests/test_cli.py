@@ -170,18 +170,28 @@ def test_census_coset_model_mismatch_exits_3(capsys, monkeypatch):
     scan = census_module._unit_fixers
 
     def drop_one_unit(p, symbols):
-        fixers, counts = scan(p, symbols)
-        # the row of mask 101, the cosets {1, 10} and {4, 7} of {1, 10} mod 11
-        (row,) = np.flatnonzero((symbols == [1, 4, 7, 10]).all(axis=1))
-        fixers[row] = np.append(fixers[row, 1:], p)
-        counts[row] -= 1
-        return fixers, counts
+        k, row = scan(p, symbols)
+        # a hit of the row of mask 101, the cosets {1, 10} and {4, 7} of {1, 10} mod 11
+        (union,) = np.flatnonzero((symbols == [1, 4, 7, 10]).all(axis=1))
+        dropped = np.flatnonzero(row == union)[0]
+        return np.delete(k, dropped), np.delete(row, dropped)
 
     monkeypatch.setattr(census_module, "_unit_fixers", drop_one_unit)
     code, out, err = run(capsys, "census", "11", "5")
     assert code == EXIT_DISAGREEMENT
     assert out == ""
     assert err == "error: coset model mismatch at p=11, d=5, mask=101\n"
+
+
+def test_census_orbit_count_against_the_formula_exits_3(capsys, monkeypatch):
+    import circdeg.census as census_module
+
+    formula = census_module.aperiodic_subset_count
+    monkeypatch.setattr(census_module, "aperiodic_subset_count", lambda d: formula(d) + d)
+    code, out, err = run(capsys, "census", "11", "5")
+    assert code == EXIT_DISAGREEMENT
+    assert out == ""
+    assert err == "error: enumerated 6 orbits but formula gives 7\n"
 
 
 def test_census_usage_errors(capsys):

@@ -164,15 +164,23 @@ def test_table_witnesses_verified_both_routes():
 
 
 def miscounted(modulus):
-    """circulant._unit_fixers, with one fixer too few for the rows mod `modulus`."""
+    """circulant._unit_fixers, with one hit dropped from each row mod `modulus`."""
     scan = circulant._unit_fixers
 
     def scan_one_short(n, symbols):
-        fixers, counts = scan(n, symbols)
-        counts[np.asarray(n) == modulus] -= 1
-        return fixers, counts
+        k, row = scan(n, symbols)
+        rows = np.flatnonzero(np.broadcast_to(n, len(symbols)) == modulus)
+        dropped = [np.flatnonzero(row == r)[0] for r in rows]
+        return np.delete(k, dropped), np.delete(row, dropped)
 
     return scan_one_short
+
+
+def test_regular_construction_checks_its_own_degree(monkeypatch):
+    # a batch of one row, whose degree check is the table's
+    monkeypatch.setattr(circulant, "_unit_fixers", miscounted(15))
+    with pytest.raises(ConstructionError, match=r"^subgroup construction \(15, 4\) failed$"):
+        circulant.regular_construction(15, 4)
 
 
 def test_table_witness_of_the_wrong_degree_is_refused(monkeypatch):
@@ -219,13 +227,15 @@ def test_batched_fixer_counts_match_the_lone_symbol_scan(monkeypatch):
     scan, scanned = circulant._unit_fixers, []
 
     def recorded(n, symbols):
-        fixers, counts = scan(n, symbols)
-        assert fixers.shape == symbols.shape
+        k, row = scan(n, symbols)
         moduli = np.broadcast_to(n, len(symbols)).tolist()
-        # each row without its pads, which are its modulus
-        rows = [[s for s in row if s < m] for m, row in zip(moduli, symbols.tolist())]
-        scanned.extend(zip(moduli, rows, fixers.tolist(), counts.tolist()))
-        return fixers, counts
+        # each row without its pads, which are its modulus, and its fixers
+        # rebuilt from its hits k and m - k
+        rows = [[s for s in r if s < m] for m, r in zip(moduli, symbols.tolist())]
+        hits = [k[row == r].tolist() for r in range(len(symbols))]
+        fixers = [tuple(sorted(h + [m - u for u in h])) for m, h in zip(moduli, hits)]
+        scanned.extend(zip(moduli, rows, fixers))
+        return k, row
 
     monkeypatch.setattr(circulant, "_unit_fixers", recorded)
     witnesses = [row.witness for row in degree_table(1000) if row.d > 1]
@@ -233,11 +243,10 @@ def test_batched_fixer_counts_match_the_lone_symbol_scan(monkeypatch):
     built, refusal = circulant._regular_constructions(pairs)
     assert refusal is None and len(built) == len(pairs) > 1000
     expected = sorted((s.n, s.elements) for s in witnesses + built)
-    assert sorted((n, tuple(row)) for n, row, _, _ in scanned) == expected
-    for n, row, fixers, count in scanned:
+    assert sorted((n, tuple(row)) for n, row, _ in scanned) == expected
+    for n, row, fixers in scanned:
         lone = circulant.fixing_subgroup(ConnectionSet(n, tuple(row))).elements
-        assert (count, tuple(fixers[:count])) == (len(lone), lone), (n, row)
-        assert fixers[count:] == [n] * (len(fixers) - count)
+        assert fixers == lone, (n, row)
 
 
 def test_prime_bound_column():
