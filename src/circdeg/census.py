@@ -283,7 +283,10 @@ def _union_rows(held: np.ndarray, cosets: np.ndarray, p: int, width: int) -> np.
     Each row gathers its first width / |H| coset indices, the indices of
     cosets it lacks replaced by a coset of pads, and sorts only its width,
     as int32: an enumerated census has p < 2^18, since its single cosets
-    alone need (|H|/2)^2 <= _MAX_CENSUS_PRODUCTS products (_census_work)."""
+    alone need (|H|/2)^2 <= _MAX_CENSUS_PRODUCTS products (_census_work).
+    Raises ValueError for p >= 2^31, which int32 cannot hold."""
+    if p >= 1 << 31:
+        raise ValueError(f"union rows mod {p} do not fit int32")
     picked = np.argsort(~held, axis=1, kind="stable")[:, :width // cosets.shape[1]]
     picked[~np.take_along_axis(held, picked, axis=1)] = len(cosets)
     padded = np.vstack((cosets, np.full(cosets.shape[1], p))).astype(np.int32)

@@ -205,7 +205,12 @@ def cmd_table(args) -> int:
     rows = _witnessed(orders)
     row_dicts = [_row_dict(r) for r in rows]
     if args.format == "json":
-        print(json.dumps(row_dicts, indent=2, sort_keys=True))
+        # = json.dumps(row_dicts, indent=2, sort_keys=True); witnesses keep the C encoder
+        print("[\n" + ",\n".join(
+            f'  {{\n    "c": {r["c"]},\n    "d": {r["d"]},\n    "p": {r["p"]},\n'
+            f'    "strict": {"true" if r["strict"] else "false"},\n'
+            f'    "witness": {json.dumps(r["witness"])}\n  }}' for r in row_dicts
+        ) + "\n]")
     else:
         sys.stdout.write(table_csv(rows))
     if args.check:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numtheory import divisors, euler_phi, factorize, is_prime
+from .numtheory import euler_phi, factorize, is_prime
 
 
 class ConstructionError(RuntimeError):
@@ -142,6 +142,10 @@ def _subgroup_basis(n: int, order: int) -> tuple[tuple[int, int], ...]:
     Picks the lexicographically first pattern of per-factor indices with product
     phi(n)/order greedily (the remaining factors admit one iff the remaining
     target divides their order product), then takes those generator powers.
+    The least index of a factor of order m is k0 = target / gcd(target, rest),
+    rest the order product of the later factors: for k dividing target,
+    target/k divides rest iff k0 divides k, and k0 divides m since target
+    divides m * rest.  Raises ConstructionError if k0 does not divide m.
     """
     group = unit_group(n)
     phi = euler_phi(n)
@@ -152,7 +156,9 @@ def _subgroup_basis(n: int, order: int) -> tuple[tuple[int, int], ...]:
     basis = []
     for i, (g, m) in enumerate(group.factor_generators):
         rest = math.prod(orders[i + 1:])
-        k = next(k for k in divisors(m) if target % k == 0 and rest % (target // k) == 0)
+        k = target // math.gcd(target, rest)
+        if m % k != 0:
+            raise ConstructionError(f"no subgroup of order {order} mod {n} (factor order {m})")
         target //= k
         basis.append((pow(g, k, n), m // k))
     return tuple(b for b in basis if b[1] > 1)

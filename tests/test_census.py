@@ -273,6 +273,15 @@ def test_prime_census_work_limit_boundary(monkeypatch):
     assert prime_census(31, 15).method == "aperiodic-subset-formula"
 
 
+def test_union_rows_refuse_moduli_past_int32():
+    # one row, the first of two one-residue cosets; p - 1 still fits int32
+    held, cosets = np.array([[True, False]]), np.array([[5], [7]])
+    rows = census._union_rows(held, cosets, (1 << 31) - 1, 2)
+    assert rows.tolist() == [[5, (1 << 31) - 1]] and rows.dtype == np.int64
+    with pytest.raises(ValueError, match=r"^union rows mod 2147483648 do not fit int32$"):
+        census._union_rows(held, cosets, 1 << 31, 2)
+
+
 def test_benchmark_censuses_stay_far_below_the_work_limit():
     work = [
         census._census_work(p, d)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from circdeg import mintable
+from circdeg import mintable, unitgroup
 from circdeg.census import prime_census
 from circdeg.cli import (
     EXIT_DISAGREEMENT,
@@ -14,6 +14,7 @@ from circdeg.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ResultEnvelope,
+    _row_dict,
     append_cache,
     main,
     read_cache,
@@ -145,6 +146,32 @@ def test_table_output_is_byte_stable(capsys):
     second = run(capsys, "table", "20")
     assert first == second
     assert table_csv(degree_table(20)) == first[1]
+
+
+def test_table_text_is_the_json_and_csv_dumps(capsys):
+    for d_max in [*range(1, 101), 1000]:
+        rows = degree_table(d_max)
+        dumped = json.dumps([_row_dict(r) for r in rows], indent=2, sort_keys=True)
+        assert run(capsys, "table", str(d_max), "--format", "json") == (EXIT_OK, dumped + "\n", "")
+        assert run(capsys, "table", str(d_max), "--format", "csv") == (EXIT_OK, table_csv(rows), "")
+
+
+def test_table_wrong_unit_group_exits_3(capsys, monkeypatch):
+    # A factor order of 3 for the units mod 5 leaves no index for the
+    # order-2 subgroup of the d = 2 witness: an error, not StopIteration.
+    good = unitgroup.unit_group
+    monkeypatch.setattr(
+        unitgroup,
+        "unit_group",
+        lambda n: unitgroup.UnitGroup(5, ((2, 3),)) if n == 5 else good(n),
+    )
+    code, out, err = run(capsys, "table", "3", "--format", "json")
+    assert code == EXIT_DISAGREEMENT
+    assert out == ""
+    assert err == (
+        "error: no degree-2 witness on C(2) = 5 vertices: "
+        "no subgroup of order 2 mod 5 (factor order 3)\n"
+    )
 
 
 def test_census_command(capsys):

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from circdeg.mintable import _table_orders
 from circdeg.numtheory import divisors, euler_phi, is_prime
 from circdeg.unitgroup import (
     Subgroup,
@@ -127,6 +128,13 @@ def test_subgroup_basis_is_the_first_index_pattern():
     for n in range(1, 301):
         for order in divisors(euler_phi(n)):
             assert _subgroup_basis(n, order) == first_pattern_basis(n, order), (n, order)
+
+
+def test_subgroup_basis_on_the_table_inputs():
+    # The pairs the table's witnesses ask for: (C(d), phi(C(d))/d), d <= 1000.
+    for row in _table_orders(1000):
+        n, order = row.c_of_d, euler_phi(row.c_of_d) // row.d
+        assert _subgroup_basis(n, order) == first_pattern_basis(n, order), (row.d, n)
 
 
 def test_inverse_symmetric_examples():
