@@ -60,20 +60,24 @@ def make_connection_set(n: int, raw: Iterable[int]) -> ConnectionSet:
     """Validate and normalize a connection set.
 
     Rejects 0, out-of-range residues, and sets that are not closed under
-    s -> n - s.
+    s -> n - s.  The per-element loops run only when a bulk test fails, and
+    name the first offending residue.
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     elems = sorted(set(raw))
-    for s in elems:
-        if s == 0:
-            raise ValueError("0 is not allowed in a connection set")
-        if not 1 <= s <= n - 1:
-            raise ValueError(f"residue {s} out of range for modulus {n}")
-    present = set(elems)
-    for s in elems:
-        if (n - s) % n not in present:
-            raise ValueError(f"missing inverse {(n - s) % n} of {s} mod {n}")
+    if elems and (
+        elems[0] < 1 or elems[-1] > n - 1 or [n - s for s in reversed(elems)] != elems
+    ):
+        for s in elems:
+            if s == 0:
+                raise ValueError("0 is not allowed in a connection set")
+            if not 1 <= s <= n - 1:
+                raise ValueError(f"residue {s} out of range for modulus {n}")
+        present = set(elems)
+        for s in elems:
+            if (n - s) % n not in present:
+                raise ValueError(f"missing inverse {(n - s) % n} of {s} mod {n}")
     return ConnectionSet(n, tuple(elems))
 
 

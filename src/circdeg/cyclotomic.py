@@ -54,15 +54,26 @@ _MAX_TABLE_CELLS = 1 << 27
 
 # The eigenvalue oracle's fingerprints take n * |S| cells and its fixer
 # gaps 2 phi(n) tau(n); splitting_field_degree refuses a symbol past this
-# many cells of either before any work.
+# many cells of either before any work.  The count bounds time; the blocks
+# below bound memory.
 _MAX_ORACLE_WORK = 1 << 27
 _FINGERPRINT_SEED = 20240
 # Fingerprint weights for n up to this many come from one kept 32 KB stream.
 _FINGERPRINT_STREAM = 4096
 # Folded cells (n//2 + 1) * |block| of one block of the fingerprint sum, a
-# block being elements s < n - s; about 16 B each (an int64 index and a
-# uint64 gather).  Any n <= 768 with |S| < n fits in one.
+# block being elements s < n - s; about 12 B each (an int32 index and a
+# uint64 gather; 16 B where n needs int64 indices).  Any n <= 768 with
+# |S| < n fits in one.
 _FINGERPRINT_BLOCK_CELLS = 1 << 22
+# Gathered cells |block| * tau(n) of one block of _fixer_gaps, per stacked
+# fingerprint row, a block being consecutive units: about 12 B each as for
+# the fingerprint blocks.
+_GAP_BLOCK_CELLS = 1 << 20
+
+
+def _index_dtype(largest: int) -> type:
+    """int32 where every index product is at most `largest` < 2^31, else int64."""
+    return np.int32 if largest < 2**31 else np.int64
 
 
 @dataclass(frozen=True)
@@ -326,7 +337,9 @@ def _fingerprints(n: int, elements: Sequence[int]) -> np.ndarray:
     mod n, which both identities need.  The sum runs over blocks of paired
     elements of about _FINGERPRINT_BLOCK_CELLS gathered cells each (at least
     one element).  Addition mod 2^64 is commutative and associative, so
-    neither the folding nor the blocks change the result.
+    neither the folding nor the blocks change the result.  Every index
+    product j*s has j <= n//2 and s <= n//2, so it is at most (n//2)^2 and
+    the index table is int32 wherever that is below 2^31.
     """
     elements = np.array(elements, dtype=np.int64)
     mirror = (n - elements[::-1]) % n
@@ -342,18 +355,21 @@ def _fingerprints(n: int, elements: Sequence[int]) -> np.ndarray:
     for p in factorize(n).primes():
         weights = np.concatenate([weights[n // p :], weights[: n // p]]) - weights
     half = n // 2 + 1
-    js = np.arange(half)
-    pairs = elements[: len(elements) // 2]
+    index = _index_dtype((n // 2) ** 2)
+    js = np.arange(half, dtype=index)
+    pairs = elements[: len(elements) // 2].astype(index, copy=False)
     if len(elements) % 2:
-        fp = weights[js * elements[len(elements) // 2] % n]
+        cols = js * int(elements[len(elements) // 2])
+        cols -= cols // n * n
+        fp = np.take(weights, cols)
     else:
         fp = np.zeros(half, dtype=np.uint64)
     folded = weights + np.concatenate([weights[:1], weights[:0:-1]])
     step = max(1, _FINGERPRINT_BLOCK_CELLS // half)
     for lo in range(0, len(pairs), step):
         cols = np.multiply.outer(pairs[lo : lo + step], js)
-        cols %= n
-        fp += folded[cols].sum(axis=0, dtype=np.uint64)
+        cols -= cols // n * n
+        fp += np.take(folded, cols).sum(axis=0, dtype=np.uint64)
     return np.concatenate([fp, fp[1 : (n + 1) // 2][::-1]])
 
 
@@ -406,7 +422,11 @@ def _fixer_gaps(fp: np.ndarray, units: np.ndarray, divs: np.ndarray) -> np.ndarr
 
     mod 2^64, computed as the key sum of c_g * fp[..., k*g] less the key of
     units[0].  The weights c_g are the first tau(n) draws of the
-    fingerprint stream, made odd.
+    fingerprint stream, made odd.  The keys are written block by block of
+    units, each of about _GAP_BLOCK_CELLS gathered cells per fingerprint
+    row (at least one unit), so memory does not grow with phi(n) tau(n).
+    An index product k*g is at most (n - 1)^2, so the index table is int32
+    wherever that is below 2^31.
 
     Every j is g*u for g = gcd(j, n) and a unit u, and the automorphisms
     commute, so k fixes every eigenvalue iff row k*g equals row g for every
@@ -416,8 +436,16 @@ def _fixer_gaps(fp: np.ndarray, units: np.ndarray, divs: np.ndarray) -> np.ndarr
     callers settle that case on exact rows.  delta is linear in fp, so the
     deltas of a sum of fingerprint rows are the sums of their deltas.
     """
-    keys = np.take(fp, np.multiply.outer(units, divs) % fp.shape[-1], axis=-1)
-    keys = keys @ (_weights(len(divs)) | 1)
+    n = fp.shape[-1]
+    index = _index_dtype((n - 1) ** 2)
+    units, divs = units.astype(index, copy=False), divs.astype(index, copy=False)
+    weights = _weights(len(divs)) | 1
+    keys = np.empty(fp.shape[:-1] + units.shape, dtype=np.uint64)
+    step = max(1, _GAP_BLOCK_CELLS // max(1, len(divs)))
+    for lo in range(0, len(units), step):
+        cols = np.multiply.outer(units[lo : lo + step], divs)
+        cols -= cols // n * n
+        keys[..., lo : lo + step] = np.take(fp, cols, axis=-1) @ weights
     return keys - keys[..., :1]
 
 
@@ -431,24 +459,27 @@ def splitting_field_degree(symbol: ConnectionSet) -> int:
     Divisor n is taken mod n, so column 0 (eigenvalue |S|, which every k
     fixes) stands in for it.
 
-    The units whose _fixer_gaps delta is 0 contain F, since equal rows have
-    equal fingerprints.  The span starts as {1, -1}: -1 lies in F because
-    H_(-g) = sum of x^(-g*s) = sum of x^(g*s) = H_g, as -S = S
+    The units are listed by striking the multiples of each prime of n from
+    n cells, and those whose _fixer_gaps delta is 0 contain F, since equal
+    rows have equal fingerprints.  The span starts as {1, -1}: -1 lies in F
+    because H_(-g) = sum of x^(-g*s) = sum of x^(g*s) = H_g, as -S = S
     (_fingerprints refuses any other S before the span is read).  Walking
     the candidates in ascending order, each one outside the span of those
-    confirmed so far is tested on sparse exact rows, and a confirmed one
-    extends the span by its powers.  The span only ever holds elements of F
-    and every element of F is walked, so it ends as F.  The test never
-    inspects k*S = S.  The value must agree with algebraic_degree(S); any
-    disagreement is a bug in one of the two routes and is surfaced by the
-    verification suite, never reconciled here.
+    confirmed so far is tested on sparse exact rows (the rows of the
+    divisors themselves are built once, for the first such candidate), and
+    a confirmed one extends the span by its powers.  The span only ever
+    holds elements of F and every element of F is walked, so it ends as F.
+    The test never inspects k*S = S.  The value must agree with
+    algebraic_degree(S); any disagreement is a bug in one of the two routes
+    and is surfaced by the verification suite, never reconciled here.
 
     Raises ValueError, before any work, where
     max(n * max(|S|, 4), 2 phi(n) tau(n)) is over the oracle's work limit.
     The first term counts the n-sized fingerprint arrays and their n * |S|
     gathered cells (at least 4n, so no n above 2^25 is admitted), the
-    second the index and gather cells of _fixer_gaps.  The exact rows need
-    no term of their own: a confirmation builds at most
+    second the index and gather cells of _fixer_gaps.  The count bounds
+    time; both tables are built in blocks, which bound memory.  The exact
+    rows need no term of their own: a confirmation builds at most
     2 tau(n) * |S| * 2^omega(n) sparse terms, and
     2^omega(n) <= tau(n) <= 2 sqrt(n), so that is at most 8 n |S|.
     """
@@ -461,14 +492,19 @@ def splitting_field_degree(symbol: ConnectionSet) -> int:
             f"max(n * max(|S|, 4), 2 phi(n) tau(n)) = {work}, over the limit of "
             f"{_MAX_ORACLE_WORK}"
         )
-    unit = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+    is_unit = np.ones(n, dtype=bool)
+    for p in factorize(n).primes():
+        is_unit[::p] = False
+    unit = np.flatnonzero(is_unit)
     candidates = unit[_fixer_gaps(_fingerprints(n, elements), unit, divs) == 0]
-    span = {1 % n, -1 % n}
+    span, base = {1 % n, -1 % n}, None
     for k in candidates.tolist():
         if k in span:
             continue
-        rows = _annihilated_rows(n, elements, np.concatenate([divs, k * divs % n]))
-        if np.array_equal(rows[: len(divs)], rows[len(divs) :]):
+        if base is None:
+            base = _annihilated_rows(n, elements, divs)
+        # equal rows have equal term counts, so a width mismatch is unequal
+        if np.array_equal(_annihilated_rows(n, elements, k * divs % n), base):
             grown, power = set(span), k
             while power not in span:
                 grown.update(power * x % n for x in span)

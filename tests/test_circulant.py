@@ -53,6 +53,70 @@ def test_make_connection_set_validation():
         make_connection_set(6, {1, 5, 7})
 
 
+@pytest.mark.parametrize(
+    "n, raw, message",
+    [
+        (0, {1}, "modulus must be positive, got 0"),
+        (-3, set(), "modulus must be positive, got -3"),
+        (6, {0, 1, 5}, "0 is not allowed in a connection set"),
+        (1, {0}, "0 is not allowed in a connection set"),
+        # residues are checked ascending, so the least fault is named
+        (6, {-2, 0, 7}, "residue -2 out of range for modulus 6"),
+        (6, {0, 7}, "0 is not allowed in a connection set"),
+        (6, {1, 5, 8, 7}, "residue 7 out of range for modulus 6"),
+        (6, {6}, "residue 6 out of range for modulus 6"),
+        (1, {1}, "residue 1 out of range for modulus 1"),
+        (6, {1, 2, 5, 7}, "residue 7 out of range for modulus 6"),
+        (10, {1, 2, 3, 9}, "missing inverse 8 of 2 mod 10"),
+        (10, {1, 3, 9}, "missing inverse 7 of 3 mod 10"),
+        (6, {3, 4}, "missing inverse 2 of 4 mod 6"),
+    ],
+)
+def test_make_connection_set_names_the_first_fault(n, raw, message):
+    with pytest.raises(ValueError) as refused:
+        make_connection_set(n, raw)
+    assert str(refused.value) == message
+
+
+def _looped_connection_set(n, raw):
+    """The per-element checks alone: (elements, None) or (None, message)."""
+    if n < 1:
+        return None, f"modulus must be positive, got {n}"
+    elems = sorted(set(raw))
+    for s in elems:
+        if s == 0:
+            return None, "0 is not allowed in a connection set"
+        if not 1 <= s <= n - 1:
+            return None, f"residue {s} out of range for modulus {n}"
+    for s in elems:
+        if (n - s) % n not in elems:
+            return None, f"missing inverse {(n - s) % n} of {s} mod {n}"
+    return tuple(elems), None
+
+
+def test_bulk_validation_matches_the_per_element_checks():
+    rng = random.Random(71)
+    refused = accepted = 0
+    for _ in range(3000):
+        n = rng.randint(1, 40)
+        raw = {s for s in range(1, n // 2 + 1) if rng.random() < 0.4}
+        raw |= {n - s for s in raw}
+        for _ in range(rng.choice([0, 0, 1, 2])):  # maybe spoil it
+            raw.add(rng.randint(-2, n + 2))
+        if raw and rng.random() < 0.2:
+            raw.discard(rng.choice(sorted(raw)))
+        elements, message = _looped_connection_set(n, raw)
+        if message is None:
+            assert make_connection_set(n, raw).elements == elements
+            accepted += 1
+        else:
+            with pytest.raises(ValueError) as error:
+                make_connection_set(n, raw)
+            assert str(error.value) == message, (n, sorted(raw))
+            refused += 1
+    assert accepted > 1000 and refused > 1000
+
+
 def test_encoding_round_trip():
     symbol = make_connection_set(13, {1, 3, 4, 9, 10, 12})
     assert symbol.encode() == "13:1,3,4,9,10,12"

@@ -429,6 +429,65 @@ def test_folded_fingerprints_equal_the_plain_gather(monkeypatch, block_cells):
         assert np.array_equal(_fingerprints(n, elements), expected), symbol
 
 
+def _sparse_symbol(n):
+    """A few inverse pairs, the largest pair below n/2, and n/2 for even n."""
+    elems = {1, n - 1, (n - 1) // 2, n - (n - 1) // 2, 7, n - 7}
+    if n % 2 == 0:
+        elems.add(n // 2)
+    return make_connection_set(n, elems)
+
+
+@pytest.mark.parametrize("n", [92680, 92681, 92682])
+def test_fingerprints_at_the_int32_index_boundary(n):
+    # Index products j*s reach (n//2)^2, below 2^31 up to n = 92681; at
+    # 92682 the middle element n/2 gives 46341^2 > 2^31, which int32 would
+    # wrap.
+    elements = _sparse_symbol(n).elements
+    assert np.array_equal(_fingerprints(n, elements), _plain_fingerprints(n, elements))
+
+
+def _plain_fixer_gaps(fp, n):
+    """The whole int64 index table of every unit and divisor mod n."""
+    unit = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+    divs = np.array(divisors(n), dtype=np.int64) % n
+    keys = np.take(fp, np.multiply.outer(unit, divs) % n, axis=-1)
+    keys = keys @ (_seed_weights(len(divs)) | 1)
+    return unit, divs, keys - keys[..., :1]
+
+
+@pytest.mark.parametrize("n", [46340, 46341, 46342, 65538])
+def test_fixer_gaps_at_the_int32_index_boundary(n):
+    # Index products k*g reach (n - 1)^2, below 2^31 up to n = 46341; at
+    # 65538 = 2 * 32769 the product 65537 * 32769 is past 2^31.
+    fp = _fingerprints(n, _sparse_symbol(n).elements)
+    unit, divs, expected = _plain_fixer_gaps(fp, n)
+    assert np.array_equal(cyclotomic_module._fixer_gaps(fp, unit, divs), expected)
+
+
+@pytest.mark.parametrize("block_cells", [1, 50])
+def test_fixer_gap_blocks_change_nothing(monkeypatch, block_cells):
+    # The sweep's stacked (orbits x n) fingerprints and the oracle's degrees
+    # are the same with one unit (or a few) per block ...
+    stacks = {}
+    for n in (1, 2, 12, 30, 45, 60):
+        orbits = [(s, n - s) for s in range(1, n // 2 + 1)]
+        fp = np.array(
+            [_fingerprints(n, make_connection_set(n, o).elements) for o in orbits], np.uint64
+        ).reshape(-1, n)
+        stacks[n] = (fp, *_plain_fixer_gaps(fp, n))
+    symbols = random_symbols(80, 2, 400, seed=67)
+    degrees = [splitting_field_degree(s) for s in symbols]
+    monkeypatch.setattr(cyclotomic_module, "_GAP_BLOCK_CELLS", block_cells)
+    for n, (fp, unit, divs, expected) in stacks.items():
+        assert np.array_equal(cyclotomic_module._fixer_gaps(fp, unit, divs), expected), n
+    for symbol, degree in zip(symbols, degrees):
+        assert splitting_field_degree(symbol) == degree, symbol
+    # ... and an empty divisor list takes a step of one unit, not 1 // 0.
+    no_divs = np.array([], dtype=np.int64)
+    gaps = cyclotomic_module._fixer_gaps(np.zeros((2, 1), np.uint64), np.array([0]), no_divs)
+    assert gaps.shape == (2, 1) and not gaps.any()
+
+
 def test_fingerprints_refuse_elements_the_fold_cannot_use(monkeypatch):
     def no_work(n):
         raise AssertionError("fingerprint work started before the check")
@@ -538,6 +597,35 @@ def test_minus_one_is_fixed_without_exact_rows(monkeypatch):
             assert len(built) > before, symbol
             larger += 1
     assert larger >= 100
+
+
+def test_divisor_rows_are_built_once_per_oracle_call(monkeypatch):
+    # The rows of the divisors g do not depend on the candidate k, so each
+    # oracle call builds them at most once, however many k it confirms.
+    rows, base_calls = cyclotomic_module._annihilated_rows, []
+
+    def counted_rows(n, elements, js):
+        js = np.asarray(js)
+        base_calls[-1] += np.array_equal(js, np.array(divisors(n), dtype=np.int64) % n)
+        return rows(n, elements, js)
+
+    monkeypatch.setattr(cyclotomic_module, "_annihilated_rows", counted_rows)
+    for n in range(3, 61):
+        for d in divisors(euler_phi(n) // 2)[:-1]:
+            # F is larger than {+-1}, so some candidate needs exact rows
+            symbol = regular_construction(n, d)
+            base_calls.append(0)
+            assert splitting_field_degree(symbol) == d, symbol
+            assert base_calls[-1] == 1, symbol
+    # With blind fingerprints every unit is a candidate, and still at most
+    # one call builds the divisor rows.
+    monkeypatch.setattr(
+        cyclotomic_module, "_fingerprints", lambda n, elements: np.zeros(n, np.uint64)
+    )
+    for symbol in _symmetric_symbols(12):
+        base_calls.append(0)
+        assert splitting_field_degree(symbol) == algebraic_degree(symbol), symbol
+        assert base_calls[-1] <= 1, symbol
 
 
 def test_degree_one_iff_all_eigenvalues_integral():
