@@ -103,6 +103,38 @@ class CensusWitnesses(Sequence[ConnectionSet]):
     def __repr__(self) -> str:
         return f"{type(self).__name__}({tuple(self)!r})"
 
+    def encoded(self) -> list[str]:
+        """The witnesses' text forms, equal to `[w.encode() for w in self]`,
+        encoded in bulk from the padded rows.
+
+        One bytes table of fixed width w, a power of two, maps each residue r
+        below n to `",r"`, the pad n to nothing (all NUL), and two more
+        entries to the prefix `"n:"` and a newline; viewed as w-byte
+        integers, it is read in one integer gather.  A line is the prefix,
+        the row and the newline, with the comma of the row's first residue
+        (its byte w) set to NUL.  One boolean compress of the uint8 view
+        drops the NUL fill, and one decode and one split give the lines.
+        prime_census gives witnesses only at n < 2^18, where w <= 8 (see
+        _census_work); a view with no rows, or past that bound, is encoded
+        witness by witness.
+        """
+        n, rows = self.n, self.rows
+        if not len(rows) or n >= 1 << 18:
+            return [w.encode() for w in self]
+        width = 1 << len(str(n - 1)).bit_length()
+        count, cells = rows.shape
+        lines = np.empty((count, cells + 2), dtype=f"u{width}")
+        decimal = ",".join(map(str, range(n))).encode().split(b",")
+        table = np.array(
+            [b"," + r for r in decimal] + [b"", b"%d:" % n, b"\n"], dtype=f"S{width}"
+        ).view(lines.dtype)
+        lines[:, 0] = table[n + 1]
+        lines[:, 1:-1] = table[rows]
+        lines[:, -1] = table[n + 2]
+        text = lines.view(np.uint8)
+        text[:, width] = 0
+        return text[text != 0].tobytes().decode("ascii").split("\n")[:-1]
+
 
 @dataclass(frozen=True)
 class CensusRecord:
@@ -214,7 +246,9 @@ def _validate_prime_census_args(p: int, d: int) -> None:
         raise ValueError(f"input {p} exceeds the supported 63-bit range")
     if not is_prime(p) or p == 2:
         raise ValueError(f"{p} is not an odd prime")
-    if d < 2 or ((p - 1) // 2) % d != 0:
+    if d < 2:
+        raise ValueError(f"expected d >= 2, got {d}")
+    if ((p - 1) // 2) % d != 0:
         raise ValueError(f"{d} does not divide ({p}-1)/2")
 
 
@@ -252,7 +286,13 @@ def _census_work(p: int, d: int) -> int:
     floor(d/2) * |H| (a union of more than d/2 cosets as its complement),
     which looks up at most R * (floor(d/2) * |H|/2)^2 products.  That is at
     most 5 times this bound: the ratio R * floor(d/2)^2 / max_m B_m * m^2
-    does not depend on p, and is largest at d = 14, where it is 4.16."""
+    does not depend on p, and is largest at d = 14, where it is 4.16.
+
+    The bound also bounds p: the single cosets alone (m = 1, B = 1) need
+    ((p-1)/2d)^2 <= _MAX_CENSUS_PRODUCTS = 2^26 products, so an enumerated
+    census has p <= 2^14 * d + 1 < 2^18.  So its rows sort as int32
+    (_union_rows), and CensusWitnesses.encoded's table cells are at most
+    8 bytes: `",r"` has at most seven, and `"p:"` as many as `",(p-1)"`."""
     half = (p - 1) // d // 2
     return max(rotation_orbit_count(d, m) * (m * half) ** 2 for m in range(1, d))
 
@@ -282,9 +322,8 @@ def _union_rows(held: np.ndarray, cosets: np.ndarray, p: int, width: int) -> np.
 
     Each row gathers its first width / |H| coset indices, the indices of
     cosets it lacks replaced by a coset of pads, and sorts only its width,
-    as int32: an enumerated census has p < 2^18, since its single cosets
-    alone need (|H|/2)^2 <= _MAX_CENSUS_PRODUCTS products (_census_work).
-    Raises ValueError for p >= 2^31, which int32 cannot hold."""
+    as int32: an enumerated census has p < 2^18 (_census_work).  Raises
+    ValueError for p >= 2^31, which int32 cannot hold."""
     if p >= 1 << 31:
         raise ValueError(f"union rows mod {p} do not fit int32")
     picked = np.argsort(~held, axis=1, kind="stable")[:, :width // cosets.shape[1]]

@@ -6,9 +6,9 @@ a subgroup whose index in the full unit group is the degree over Q of the
 splitting field of the graph's characteristic polynomial.  This module
 finds the units that fix S, or map it onto a set or to its least image,
 among the few that can map one gcd class of S onto its image (see _mappers),
-and builds the two explicit constructions that realize any prescribed
-degree: the subgroup construction on an arbitrary admissible order, and the
-power construction on the smallest prime 1 mod 2d.
+and builds the explicit construction that realizes any prescribed degree d:
+the subgroup construction, on an arbitrary admissible order and in
+particular on the smallest prime 1 mod 2d.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .unitgroup import (
     ConstructionError,
     Subgroup,
     inverse_symmetric_subgroup,
-    unique_subgroup_mod_prime,
     units,
 )
 
@@ -97,7 +96,7 @@ def parse_connection_set(text: str) -> ConnectionSet:
         raise ValueError(f"expected 'n:s1,s2,...', got {text!r}")
     try:
         n = int(head)
-        elems = [int(part) for part in tail.split(",") if part != ""]
+        elems = [int(part) for part in tail.split(",")] if tail else []
     except ValueError as exc:
         raise ValueError(f"malformed connection set {text!r}") from exc
     return make_connection_set(n, elems)
@@ -491,19 +490,17 @@ def multiplier_isomorphic(first: ConnectionSet, second: ConnectionSet) -> Option
 
 
 def minimal_prime_construction(d: int) -> tuple[int, ConnectionSet]:
-    """A degree-d circulant graph on the smallest prime p = 1 (mod 2d).
+    """A degree-d circulant graph on the smallest prime p = 1 (mod 2d):
+    (p, regular_construction(p, d)).
 
-    The connection set is the subgroup of d-th power residues mod p (the
-    unique subgroup of order (p-1)/d); its fixing subgroup is itself,
-    giving degree exactly d.
+    At prime p the inverse-symmetric subgroup of order (p-1)/d is the
+    unique one, the d-th power residues (it holds -1, since d divides
+    (p-1)/2); its fixing subgroup is itself, giving degree exactly d, which
+    regular_construction checks in its batched fixer scan.  Raises
+    ConstructionError naming (p, d) when that check fails.
     """
-    if d < 1:
-        raise ValueError(f"expected d >= 1, got {d}")
     p = smallest_prime_1_mod_2d(d)
-    symbol = make_connection_set(p, unique_subgroup_mod_prime(p, (p - 1) // d).elements)
-    if algebraic_degree(symbol) != d:
-        raise ConstructionError(f"prime construction for degree {d} failed")
-    return p, symbol
+    return p, regular_construction(p, d)
 
 
 def regular_construction(n: int, d: int) -> ConnectionSet:

@@ -23,10 +23,8 @@ import sys
 import time
 from typing import Any, Iterable, Optional
 
-import numpy as np
-
 from . import __version__
-from .census import CensusRecord, prime_census
+from .census import prime_census
 from .circulant import (
     algebraic_degree,
     fixing_subgroup,
@@ -224,48 +222,13 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _encoded_witnesses(record: CensusRecord) -> list[str]:
-    """The witnesses' text forms, equal to `w.encode()` for each, encoded
-    in bulk from the padded rows of the record's CensusWitnesses view.
-
-    One bytes table of fixed width w, a power of two, maps each residue r
-    below p to `",r"`, the pad p to nothing (all NUL), and two more entries
-    to the prefix `"p:"` and a newline; viewed as w-byte integers, it is
-    read in one integer gather.  A line is the prefix, the row and the
-    newline, with the comma of the row's first residue (its byte w) set to
-    NUL.  One boolean compress of the uint8 view drops the NUL fill, and one
-    decode and one split give the lines.  The table is built only when there
-    are witnesses, which bounds p: the census's batch of single cosets alone
-    looks up ((p-1)/2d)^2 products, at most census._MAX_CENSUS_PRODUCTS =
-    2^26, so p <= 2^14 * d + 1 < 2^18 and w <= 8 (`",r"` has at most seven
-    bytes, and `"p:"` as many as `",(p-1)"`).  The formula path may take p
-    near 2^63."""
-    witnesses = record.witnesses
-    if not witnesses:
-        return []
-    p, rows = witnesses.n, witnesses.rows
-    decimal = ",".join(map(str, range(p))).encode().split(b",")
-    width = 1 << len(decimal[-1]).bit_length()
-    table = np.array(
-        [b"," + r for r in decimal] + [b"", b"%d:" % p, b"\n"], dtype=f"S{width}"
-    ).view(f"u{width}")
-    count, cells = rows.shape
-    lines = np.empty((count, cells + 2), dtype=table.dtype)
-    lines[:, 0] = table[p + 1]
-    lines[:, 1:-1] = table[rows]
-    lines[:, -1] = table[p + 2]
-    text = lines.view(np.uint8)
-    text[:, width] = 0
-    return text[text != 0].tobytes().decode("ascii").split("\n")[:-1]
-
-
 def cmd_census(args) -> int:
     record = prime_census(args.p, args.d)
     print(f"count {record.value}")
     print(f"method {record.method}")
     payload = {"count": record.value, "method": record.method}
     if args.witnesses:
-        encoded = _encoded_witnesses(record)
+        encoded = record.witnesses.encoded()
         payload["witnesses"] = encoded
         if encoded:
             print("\n".join(encoded))

@@ -47,7 +47,7 @@ def parse_integral_symbol(text: str) -> IntegralSymbol:
         raise ValueError(f"expected 'n|d1,d2,...', got {text!r}")
     try:
         n = int(head)
-        divs = [int(part) for part in tail.split(",") if part != ""]
+        divs = [int(part) for part in tail.split(",")] if tail else []
     except ValueError as exc:
         raise ValueError(f"malformed integral symbol {text!r}") from exc
     return make_integral_symbol(n, divs)

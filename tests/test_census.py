@@ -34,6 +34,7 @@ from circdeg.mintable import degree_table
 from circdeg.numtheory import divisors, euler_phi, is_prime
 from circdeg.unitgroup import (
     ConstructionError,
+    Subgroup,
     primitive_root,
     unique_subgroup_mod_prime,
     units,
@@ -152,6 +153,16 @@ def test_prime_census_rejects_bad_input():
         prime_census(13, 1)
 
 
+def test_census_refuses_degrees_below_two_by_that_rule():
+    for d in (1, 0, -3):
+        with pytest.raises(ValueError, match=rf"^expected d >= 2, got {d}$"):
+            prime_census(13, d)
+    with pytest.raises(ValueError, match=r"^expected d >= 2, got 1$"):
+        power_sum_nonvanishing(13, 1, 1)
+    with pytest.raises(ValueError, match=r"^4 does not divide \(13-1\)/2$"):
+        prime_census(13, 4)
+
+
 def test_prime_census_63_bit_boundary():
     # 2^63 - 25 is the largest prime in range; 2^63 + 29 is a prime past it
     assert prime_census(9223372036854775783, 17).value == 7710
@@ -170,6 +181,20 @@ def test_prime_census_witness_properties():
             assert algebraic_degree(w) == d
             assert is_connected(w)
             assert canonical_form(w) == w
+
+
+def test_census_witness_text_is_each_witness_encoding():
+    # residues of one to four digits, slices, and no rows at all
+    view = prime_census(1429, 14).witnesses
+    for part in (view, view[5:40], view[::-97], view[:0]):
+        assert part.encoded() == [w.encode() for w in part]
+    assert prime_census(1000000000471, 15).witnesses.encoded() == []
+    # a hand-built view past any enumerated census is encoded witness by witness
+    n = 2**40 + 15
+    rows = np.array([[1, n - 1, n, n], [1, 2, n - 2, n - 1]], dtype=np.int64)
+    assert census.CensusWitnesses(n, rows).encoded() == [
+        f"{n}:1,{n - 1}", f"{n}:1,2,{n - 2},{n - 1}"
+    ]
 
 
 def test_census_witnesses_are_a_read_only_view_of_padded_rows():
@@ -486,6 +511,24 @@ def test_witness_family_ranges():
             for w in family:
                 assert algebraic_degree(w) == d
                 assert is_connected(w)
+
+
+@pytest.mark.parametrize("n, d", [(13, 3), (35, 6)])
+def test_witness_family_refuses_a_witness_fixed_by_more_than_h(monkeypatch, n, d):
+    # one prime order (the prime-order rule) and one composite (square-free)
+    scan = census.fixing_subgroup
+
+    def one_unit_more(symbol):
+        fixers = scan(symbol).elements
+        extra = next(u for u in units(symbol.n) if u not in fixers)
+        return Subgroup(symbol.n, tuple(sorted((*fixers, extra))))
+
+    monkeypatch.setattr(census, "fixing_subgroup", one_unit_more)
+    with pytest.raises(
+        ConstructionError,
+        match=rf"^witness for \(n={n}, d={d}\) is fixed by more than the base subgroup$",
+    ):
+        witness_family(n, d)
 
 
 def test_witness_family_composite_outputs_are_pinned():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import threading
 from functools import lru_cache
@@ -23,8 +24,9 @@ from circdeg.circulant import (
     parse_connection_set,
     regular_construction,
 )
-from circdeg.numtheory import divisors, euler_phi, is_prime
+from circdeg.numtheory import divisors, euler_phi, is_prime, smallest_prime_1_mod_2d
 from circdeg.unitgroup import (
+    ConstructionError,
     Subgroup,
     cosets,
     inverse_symmetric_subgroup,
@@ -128,6 +130,12 @@ def test_encoding_round_trip():
         parse_connection_set("13")
     with pytest.raises(ValueError):
         parse_connection_set("13:1,x")
+
+
+@pytest.mark.parametrize("text", ["5:1,,4", "5:1,4,", "5:,1,4", "5:,", "5:1, ,4"])
+def test_parse_connection_set_refuses_empty_fields(text):
+    with pytest.raises(ValueError, match=rf"^malformed connection set {re.escape(repr(text))}$"):
+        parse_connection_set(text)
 
 
 def test_fixing_subgroup_examples():
@@ -242,6 +250,31 @@ def test_minimal_prime_construction_range():
         p, symbol = minimal_prime_construction(d)
         assert algebraic_degree(symbol) == d
         assert symbol.valency() == (p - 1) // d
+
+
+def test_minimal_prime_construction_runs_no_lone_scan(monkeypatch):
+    # its degree is checked in regular_construction's batched fixer scan:
+    # the d-th power residues at the least prime 1 mod 2d, as ever
+    def refuse(*args):
+        raise AssertionError("lone _mappers scan")
+
+    monkeypatch.setattr(circulant, "_mappers", refuse)
+    for d in range(1, 101):
+        p = smallest_prime_1_mod_2d(d)
+        residues = unique_subgroup_mod_prime(p, (p - 1) // d).elements
+        assert minimal_prime_construction(d) == (p, make_connection_set(p, residues))
+
+
+def test_minimal_prime_construction_checks_its_degree(monkeypatch):
+    scan = circulant._unit_fixers
+
+    def one_hit_short(n, symbols):
+        k, row = scan(n, symbols)
+        return k[1:], row[1:]
+
+    monkeypatch.setattr(circulant, "_unit_fixers", one_hit_short)
+    with pytest.raises(ConstructionError, match=r"^subgroup construction \(7, 3\) failed$"):
+        minimal_prime_construction(3)
 
 
 def test_regular_construction_examples():

@@ -226,6 +226,20 @@ def test_census_usage_errors(capsys):
     assert run(capsys, "census", "13", "4")[0] == EXIT_USAGE
 
 
+def test_census_below_degree_two_names_that_rule(capsys):
+    for d in ("1", "0"):
+        assert run(capsys, "census", "13", d) == (
+            EXIT_USAGE, "", f"error: expected d >= 2, got {d}\n"
+        )
+
+
+def test_deg_refuses_an_empty_field(capsys):
+    for text in ("5:1,,4", "5:1,4,"):
+        assert run(capsys, "deg", text) == (
+            EXIT_USAGE, "", f"error: malformed connection set {text!r}\n"
+        )
+
+
 def test_integral_command(capsys):
     code, out, _ = run(capsys, "integral", "6", "--brute")
     assert code == EXIT_OK

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import pytest
@@ -77,6 +78,12 @@ def test_symbol_encoding():
         parse_integral_symbol("12")
     with pytest.raises(ValueError):
         parse_integral_symbol("12|5")
+
+
+@pytest.mark.parametrize("text", ["12|4,,6", "12|4,6,", "12|,4,6", "12|,", "12|4, ,6"])
+def test_parse_integral_symbol_refuses_empty_fields(text):
+    with pytest.raises(ValueError, match=rf"^malformed integral symbol {re.escape(repr(text))}$"):
+        parse_integral_symbol(text)
 
 
 def test_as_integral_symbol():
