@@ -4,11 +4,13 @@ At prime order p every degree-d connection set is a union of cosets of the
 unique subgroup H of order (p-1)/d, so isomorphism classes correspond to
 orbits of coset-index subsets of Z_d under rotation (multiplier maps shift
 indices, and at prime order multiplier equivalence is full isomorphism).
-Small d is enumerated outright with every representative re-verified at the
-residue level; large d falls back to the exact aperiodic-subset count.  For
-general orders only proved lower/upper bounds are offered, with explicit
-witness families realizing the lower bounds, plus a brute-force isomorphism
-census for toy orders.
+Small d is enumerated outright; large d falls back to the exact
+aperiodic-subset count.  For general orders only proved lower/upper bounds
+are offered, with explicit witness families realizing the lower bounds, plus
+a brute-force isomorphism census for toy orders.  The census and the witness
+families alike lay out their unions from one coset array (_union_rows) and
+re-verify on residues, in one batched fixer scan per call
+(_fixed_by_exactly), that each union's fixing subgroup is exactly H.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .circulant import (
     ConnectionSet,
     _unit_fixers,
     algebraic_degree,
-    coset_union,
-    fixing_subgroup,
     is_connected,
     least_multiplier_image,
     make_connection_set,
@@ -45,7 +45,6 @@ from .numtheory import (
 )
 from .unitgroup import (
     ConstructionError,
-    Subgroup,
     cosets,
     inverse_symmetric_subgroup,
     primitive_root,
@@ -221,13 +220,16 @@ def prime_order_upper_bound(d: int) -> int:
     return math.floor(value)
 
 
-def _prime_cosets(p: int, d: int) -> tuple[Subgroup, list[int]]:
-    """The subgroup H of order (p-1)/d mod p and the coset representatives
-    r^0, ..., r^(d-1) for the least primitive root r; multiplying by r
+def _prime_cosets(p: int, d: int) -> np.ndarray:
+    """The d cosets of the subgroup H of order (p-1)/d mod p as one int64
+    (d, |H|) array: row i holds r^i times the ascending elements of H, for
+    the least primitive root r.  Row 0 is H, and column 0 holds the coset
+    representatives r^i (1 is the least element of H).  Multiplying by r
     shifts coset indices by one."""
     r = primitive_root(p)
     subgroup = unique_subgroup_mod_prime(p, (p - 1) // d)
-    return subgroup, [pow(r, i, p) for i in range(d)]
+    reps = np.array([pow(r, i, p) for i in range(d)], dtype=np.int64)
+    return np.multiply.outer(reps, np.array(subgroup.elements, dtype=np.int64)) % p
 
 
 def canonical_form(symbol: ConnectionSet) -> ConnectionSet:
@@ -314,24 +316,41 @@ def _least_rotation(keys: np.ndarray) -> np.ndarray:
     return keys.argmax(axis=1)
 
 
-def _union_rows(held: np.ndarray, cosets: np.ndarray, p: int, width: int) -> np.ndarray:
+def _union_rows(held: np.ndarray, cosets: np.ndarray, n: int, width: int) -> np.ndarray:
     """The coset unions named by (B, d) boolean coset bits, as (B, width)
-    int64 rows: each row's residues ascending, padded on the right with p.
-    `cosets` holds the d cosets as rows, and no union holds more than
-    width / |H| of them.
+    int64 rows: each row's residues ascending, padded on the right with n.
+    `cosets` holds the d cosets of a subgroup H of the units mod n as rows,
+    and no union holds more than width / |H| of them.  The rows serve the
+    census batch, its witnesses, and the witness families at any n.
 
     Each row gathers its first width / |H| coset indices, the indices of
     cosets it lacks replaced by a coset of pads, and sorts only its width,
-    as int32: an enumerated census has p < 2^18 (_census_work).  Raises
-    ValueError for p >= 2^31, which int32 cannot hold."""
-    if p >= 1 << 31:
-        raise ValueError(f"union rows mod {p} do not fit int32")
+    as int32.  Raises ValueError for n >= 2^31, which int32 cannot hold;
+    an enumerated census has p < 2^18 (_census_work)."""
+    if n >= 1 << 31:
+        raise ValueError(f"union rows mod {n} do not fit int32")
     picked = np.argsort(~held, axis=1, kind="stable")[:, :width // cosets.shape[1]]
     picked[~np.take_along_axis(held, picked, axis=1)] = len(cosets)
-    padded = np.vstack((cosets, np.full(cosets.shape[1], p))).astype(np.int32)
+    padded = np.vstack((cosets, np.full(cosets.shape[1], n))).astype(np.int32)
     rows = padded[picked].reshape(len(held), width)
     rows.sort(axis=1)
     return rows.astype(np.int64)
+
+
+def _fixed_by_exactly(n: int, subgroup: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether each of the (B, W) unions of cosets of the inverse-symmetric
+    subgroup H (its elements, an int64 array) laid out by _union_rows is
+    fixed by exactly H, in one _unit_fixers scan of all B rows.
+
+    H fixes every union of its cosets.  So a row's fixers are exactly H iff
+    the scan finds |H|/2 hits for it (one of each fixer pair {k, n - k}),
+    none of them outside H."""
+    k, row = _unit_fixers(n, rows)
+    in_h = np.zeros(n, dtype=bool)
+    in_h[subgroup] = True
+    keeps = 2 * np.bincount(row, minlength=len(rows)) == len(subgroup)
+    keeps &= np.bincount(row[~in_h[k]], minlength=len(rows)) == 0
+    return keeps
 
 
 def prime_census(p: int, d: int) -> CensusRecord:
@@ -340,8 +359,8 @@ def prime_census(p: int, d: int) -> CensusRecord:
     For d up to DEFAULT_ENUMERATION_LIMIT, takes the least mask of every
     rotation orbit of nonempty proper subsets of the d cosets of the
     order-(p-1)/d subgroup H, and computes every union's fixing subgroup
-    directly on residues, in one batched fixer scan (circulant._unit_fixers)
-    of all R representatives.  At prime p the units are all nonzero
+    directly on residues, in one batched fixer scan (_fixed_by_exactly) of
+    all R representatives.  At prime p the units are all nonzero
     residues, so a unit fixes a union iff it fixes the other cosets, its
     complement: a union of more than d/2 cosets is scanned as its
     complement.  Every row then holds at most floor(d/2) cosets, and the
@@ -350,10 +369,9 @@ def prime_census(p: int, d: int) -> CensusRecord:
     every union of its cosets is inverse-symmetric, and the scan halves
     both its candidates and its columns: it confirms one unit of each pair
     {k, -k} on the columns below p/2, at most R * (W/2)^2 products; every
-    unit that can fix a union is still decided on residues.  A union is
-    fixed by exactly H iff it has |H|/2 hits, all in H (each hit k brings
-    -k, in H iff k is), which must hold iff its mask is aperiodic, and
-    always when its coset count is coprime to d.  The orbit count must
+    unit that can fix a union is still decided on residues.  H alone must
+    fix a union iff its mask is aperiodic, and always when its coset count
+    is coprime to d; each failure raises ConstructionError.  The count must
     equal the closed-form count of aperiodic subsets, which is also what
     larger d returns on its own (without witnesses, which would be
     astronomically many).  Before H is built, the work bound _census_work
@@ -386,8 +404,8 @@ def prime_census(p: int, d: int) -> CensusRecord:
     """
     _validate_prime_census_args(p, d)
     formula_total = aperiodic_subset_count(d)
-    if formula_total % d != 0:  # pragma: no cover
-        raise AssertionError(f"aperiodic subset count not divisible by {d}")
+    if formula_total % d != 0:
+        raise ConstructionError(f"aperiodic subset count not divisible by {d}")
     formula_count = formula_total // d
     if d > DEFAULT_ENUMERATION_LIMIT:
         none = CensusWitnesses(p, np.empty((0, 0), dtype=np.int64))
@@ -399,30 +417,20 @@ def prime_census(p: int, d: int) -> CensusRecord:
             f"(subgroup order {(p - 1) // d}), over the limit of {_MAX_CENSUS_PRODUCTS}"
         )
 
-    subgroup, reps = _prime_cosets(p, d)
-    order = len(subgroup)
-    # row i: the residues of the coset reps[i] * H
-    cosets = np.multiply.outer(
-        np.array(reps, dtype=np.int64), np.array(subgroup.elements, dtype=np.int64)
-    ) % p
+    cosets = _prime_cosets(p, d)
+    order = cosets.shape[1]
     masks, aperiodic = _orbit_representatives(d)
     held = (masks[:, None] >> np.arange(d)) & 1 == 1
     sizes = held.sum(axis=1)
     # a unit fixes a union iff it fixes the other cosets: scan at most d/2
     scanned = held ^ (2 * sizes > d)[:, None]
-    k, row = _unit_fixers(p, _union_rows(scanned, cosets, p, d // 2 * order))
-    in_h = np.zeros(p, dtype=bool)
-    in_h[list(subgroup.elements)] = True
-    keeps = 2 * np.bincount(row, minlength=len(masks)) == order
-    keeps &= np.bincount(row[~in_h[k]], minlength=len(masks)) == 0
+    keeps = _fixed_by_exactly(p, cosets[0], _union_rows(scanned, cosets, p, d // 2 * order))
     wrong = np.flatnonzero(keeps != aperiodic)
     if wrong.size:  # name the failing union of fewest cosets, then least mask
         mask = int(masks[wrong[np.lexsort((masks[wrong], sizes[wrong]))[0]]])
         raise ConstructionError(f"coset model mismatch at p={p}, d={d}, mask={mask:b}")
-    if not keeps[np.gcd(sizes, d) == 1].all():  # pragma: no cover
-        raise AssertionError(
-            f"coprime-size subset not fixed exactly by H at p={p}, d={d}"
-        )
+    if not keeps[np.gcd(sizes, d) == 1].all():
+        raise ConstructionError(f"coprime-size subset not fixed exactly by H at p={p}, d={d}")
     count = int(keeps.sum())
     if count != formula_count:
         raise ConstructionError(f"enumerated {count} orbits but formula gives {formula_count}")
@@ -464,51 +472,47 @@ def lower_bound(n: int, d: int) -> tuple[int, str]:
     return value, rule
 
 
-def _verified(n: int, d: int, subgroup: Subgroup, reps) -> ConnectionSet:
-    symbol = coset_union(n, subgroup, reps)
-    if fixing_subgroup(symbol).elements != subgroup.elements:
-        raise ConstructionError(
-            f"witness for (n={n}, d={d}) is fixed by more than the base subgroup"
-        )
-    if not is_connected(symbol):  # pragma: no cover - unit cosets generate Z_n
-        raise ConstructionError(f"witness for (n={n}, d={d}) is not connected")
-    return symbol
-
-
 def witness_family(n: int, d: int) -> tuple[ConnectionSet, ...]:
     """Explicit pairwise non-isomorphic degree-d graphs realizing lower_bound(n, d).
 
-    All members are unions of cosets of an inverse-symmetric subgroup of
-    order phi(n)/d, assembled per the winning bound's recipe; every member
-    is re-verified to have fixing subgroup exactly H before being returned.
-    Members have pairwise distinct valencies.
+    All members are unions of cosets of an inverse-symmetric subgroup H of
+    order phi(n)/d, picked per the winning bound's recipe from one (d, |H|)
+    coset array (_prime_cosets at prime order, else unitgroup.cosets) and
+    laid out by _union_rows.  One batched fixer scan (_fixed_by_exactly)
+    checks that each has fixing subgroup exactly H.  Each is connected: the
+    scan inverts each row's first residue mod n and refuses one that is not
+    a unit, and one unit in S makes gcd(S, n) = 1.  Valencies are distinct.
     """
     target, rule = lower_bound(n, d)
 
     if rule == "prime-order":
-        subgroup, reps = _prime_cosets(n, d)
-        family = [_verified(n, d, subgroup, reps[:m]) for m in range(1, d)]
+        table = _prime_cosets(n, d)
+        held = np.tri(d - 1, d, dtype=bool)  # the nested chain: member m holds cosets 0..m-1
     else:
         subgroup = inverse_symmetric_subgroup(n, euler_phi(n) // d)
-        reps = [coset[0] for coset in cosets(n, subgroup)]
+        table = np.array(cosets(n, subgroup), dtype=np.int64)
         # coset indices grouped by the order of x*H, the least t | d with x^t in H
         orders: dict[int, list[int]] = {}
         divs = divisors(d)
-        for i, x in enumerate(reps):
+        for i, x in enumerate(table[:, 0].tolist()):
             t = next(t for t in divs if pow(x, t, n) in subgroup)
             orders.setdefault(t, []).append(i)
         if rule == "square-free":
             chain_cosets = _square_free_chain(orders, d)
         else:
             chain_cosets = _coprime_chain(orders, d, with_primes=(rule == "phi-plus-omega"))
-        family = [
-            _verified(n, d, subgroup, [reps[i] for i in kept]) for kept in chain_cosets
-        ]
+        held = np.array([[i in kept for i in range(d)] for kept in chain_cosets])
+    rows = _union_rows(held, table, n, held.sum(axis=1).max() * table.shape[1])
+    if not _fixed_by_exactly(n, table[0], rows).all():
+        raise ConstructionError(
+            f"witness for (n={n}, d={d}) is fixed by more than the base subgroup"
+        )
+    family = tuple(CensusWitnesses(n, rows))
     if len(family) != target:  # pragma: no cover
         raise ConstructionError(
             f"built {len(family)} witnesses for (n={n}, d={d}), expected {target}"
         )
-    return tuple(family)
+    return family
 
 
 def _square_free_chain(orders: dict[int, list[int]], d: int) -> list[list[int]]:
@@ -571,10 +575,9 @@ def power_sum_nonvanishing(p: int, d: int, m: int) -> bool:
     _validate_prime_census_args(p, d)
     if not 1 <= m <= d - 1:
         raise ValueError(f"need 1 <= m <= d-1, got {m}")
-    subgroup, reps = _prime_cosets(p, d)
     exponent = (p - 1) // d
-    union = coset_union(p, subgroup, reps[:m])
-    return sum(pow(x, exponent, p) for x in union.elements) % p != 0
+    union = _prime_cosets(p, d)[:m].ravel().tolist()
+    return sum(pow(x, exponent, p) for x in union) % p != 0
 
 
 def naive_census(n: int, d: int) -> CensusRecord:

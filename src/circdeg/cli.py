@@ -7,9 +7,9 @@ counts), verify (the fast or full verification suite).
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or malformed input (every
 input the library rejects with ValueError, e.g. a modulus above 2^63 - 1, and
-an unusable cache path), 3 internal disagreement between independent routes
-or a construction that contradicts a computed result (ConstructionError),
-4 golden-table mismatch.
+an unusable cache path: each command writes its envelope before any output),
+3 internal disagreement between independent routes or a construction that
+contradicts a computed result (ConstructionError), 4 golden-table mismatch.
 """
 
 from __future__ import annotations
@@ -164,26 +164,28 @@ def cmd_deg(args) -> int:
         "connected": connected,
         "integral": integral.encode() if integral is not None else None,
     }
+    lines = [
+        f"degree {degree}",
+        f"fix-order {fix_order}",
+        f"valency {symbol.valency()}",
+        f"connected {'true' if connected else 'false'}",
+        f"integral {integral.encode() if integral is not None else 'no'}",
+    ]
     if args.oracle:
         # Before any output, so that a symbol over the oracle's size limit
         # prints no partial report.
-        report["oracle"] = splitting_field_degree(symbol)
-    print(f"degree {degree}")
-    print(f"fix-order {fix_order}")
-    print(f"valency {symbol.valency()}")
-    print(f"connected {'true' if connected else 'false'}")
-    print(f"integral {integral.encode() if integral is not None else 'no'}")
-    if args.oracle:
-        oracle = report["oracle"]
-        print(f"oracle {oracle}")
-        if oracle != degree:
+        oracle = report["oracle"] = splitting_field_degree(symbol)
+        lines.append(f"oracle {oracle}")
+        if oracle != degree:  # the report is printed, and nothing cached
+            print("\n".join(lines))
             print(
                 f"error: eigenvalue degree {oracle} disagrees with formula {degree}",
                 file=sys.stderr,
             )
             return EXIT_DISAGREEMENT
-        print("agree true")
+        lines.append("agree true")
     _cache_result(args, "deg", {"symbol": symbol.encode(), "oracle": args.oracle}, report)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -202,6 +204,12 @@ def cmd_table(args) -> int:
             return EXIT_GOLDEN_MISMATCH
     rows = _witnessed(orders)
     row_dicts = [_row_dict(r) for r in rows]
+    _cache_result(
+        args,
+        "table",
+        {"d_max": args.d_max, "format": args.format, "check": args.check},
+        {"rows": row_dicts, "check_passed": True},
+    )
     if args.format == "json":
         # = json.dumps(row_dicts, indent=2, sort_keys=True); witnesses keep the C encoder
         print("[\n" + ",\n".join(
@@ -213,33 +221,23 @@ def cmd_table(args) -> int:
         sys.stdout.write(table_csv(rows))
     if args.check:
         print(f"check ok: {d_check} rows match the published table", file=sys.stderr)
-    _cache_result(
-        args,
-        "table",
-        {"d_max": args.d_max, "format": args.format, "check": args.check},
-        {"rows": row_dicts, "check_passed": True},
-    )
     return EXIT_OK
 
 
 def cmd_census(args) -> int:
     record = prime_census(args.p, args.d)
-    print(f"count {record.value}")
-    print(f"method {record.method}")
     payload = {"count": record.value, "method": record.method}
     if args.witnesses:
-        encoded = record.witnesses.encoded()
-        payload["witnesses"] = encoded
-        if encoded:
-            print("\n".join(encoded))
-        else:
-            print(
-                "note: witnesses are not materialized for this degree",
-                file=sys.stderr,
-            )
+        payload["witnesses"] = record.witnesses.encoded()
     _cache_result(
         args, "census", {"p": args.p, "d": args.d, "witnesses": args.witnesses}, payload
     )
+    print(f"count {record.value}")
+    print(f"method {record.method}")
+    if payload.get("witnesses"):
+        print("\n".join(payload["witnesses"]))
+    elif args.witnesses:
+        print("note: witnesses are not materialized for this degree", file=sys.stderr)
     return EXIT_OK
 
 
@@ -248,20 +246,20 @@ def cmd_integral(args) -> int:
     # no partial result.
     count = count_connected_integral(args.n)
     brute = count_connected_integral_bruteforce(args.n) if args.brute else None
-    print(f"count {count}")
     payload: dict[str, Any] = {"count": count}
-    status = EXIT_OK
     if args.brute:
         payload["brute"] = brute
+    _cache_result(args, "integral", {"n": args.n, "brute": args.brute}, payload)
+    print(f"count {count}")
+    if args.brute:
         print(f"brute {brute}")
         if brute != count:
             print(
                 f"error: enumeration {brute} disagrees with formula {count}",
                 file=sys.stderr,
             )
-            status = EXIT_DISAGREEMENT
-    _cache_result(args, "integral", {"n": args.n, "brute": args.brute}, payload)
-    return status
+            return EXIT_DISAGREEMENT
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -269,12 +267,7 @@ def cmd_verify(args) -> int:
 
     suite = verify.fast_suite if args.suite == "fast" else verify.full_suite
     results = suite()
-    failures = []
-    for result in results:
-        tag = "PASS" if result.passed else "FAIL"
-        print(f"{tag} {result.name} ({result.seconds:.2f}s): {result.detail}")
-        if not result.passed:
-            failures.append(result.name)
+    failures = [result.name for result in results if not result.passed]
     summary = {
         "suite": args.suite,
         "passed": not failures,
@@ -284,8 +277,11 @@ def cmd_verify(args) -> int:
             for r in results
         ],
     }
-    print(f"{'ok' if not failures else 'FAILED'}: {len(results) - len(failures)}/{len(results)} checks passed")
     _cache_result(args, "verify", {"suite": args.suite}, summary)
+    for result in results:
+        tag = "PASS" if result.passed else "FAIL"
+        print(f"{tag} {result.name} ({result.seconds:.2f}s): {result.detail}")
+    print(f"{'ok' if not failures else 'FAILED'}: {len(results) - len(failures)}/{len(results)} checks passed")
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 

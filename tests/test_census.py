@@ -34,7 +34,6 @@ from circdeg.mintable import degree_table
 from circdeg.numtheory import divisors, euler_phi, is_prime
 from circdeg.unitgroup import (
     ConstructionError,
-    Subgroup,
     primitive_root,
     unique_subgroup_mod_prime,
     units,
@@ -244,8 +243,7 @@ def test_non_canonical_witnesses_are_caught(monkeypatch):
 def test_coset_keys_order_unions_as_their_sorted_residues(p, d):
     # min(A ^ B) in A iff sorted(A) < sorted(B), for every pair of unions
     # of one size: sorted by residues, their keys strictly decrease
-    subgroup, reps = census._prime_cosets(p, d)
-    cosets = np.multiply.outer(np.array(reps), np.array(subgroup.elements)) % p
+    cosets = census._prime_cosets(p, d)
     weight = census._coset_weights(cosets)
     by_size = {}
     for mask in range(1, 2**d - 1):
@@ -271,8 +269,7 @@ def test_rotation_keys_are_the_gathered_sums_per_rotation(monkeypatch, p, d):
 
     monkeypatch.setattr(census, "_least_rotation", spy)
     prime_census(p, d)
-    subgroup, reps = census._prime_cosets(p, d)
-    cosets = np.multiply.outer(np.array(reps), np.array(subgroup.elements)) % p
+    cosets = census._prime_cosets(p, d)
     weight = census._coset_weights(cosets)
     masks, aperiodic = census._orbit_representatives(d)
     kept = [[j for j in range(d) if m >> j & 1] for m in masks[aperiodic].tolist()]
@@ -345,7 +342,8 @@ def test_census_keeps_exactly_the_unions_fixed_by_h_alone():
     ]
     assert len(cases) == 55
     for p, d in cases:
-        subgroup, reps = census._prime_cosets(p, d)
+        reps = census._prime_cosets(p, d)[:, 0].tolist()
+        subgroup = unique_subgroup_mod_prime(p, (p - 1) // d)
         masks, _ = census._orbit_representatives(d)
         kept = set()
         for mask in masks.tolist():
@@ -378,6 +376,17 @@ def test_one_fixer_scan_per_census_and_per_table(monkeypatch):
         calls.clear()
         degree_table(d_max)
         assert len(calls) == 1, d_max
+
+    def no_lone_scan(*args):
+        raise AssertionError("lone _mappers scan")
+
+    # a witness family checks all its members in one batch, never one alone
+    monkeypatch.setattr(circulant, "_mappers", no_lone_scan)
+    for n, d in ((13, 3), (35, 6)):
+        calls.clear()
+        family = witness_family(n, d)
+        (shape,) = calls
+        assert shape[0] == len(family) == lower_bound(n, d)[0]
 
 
 def test_census_work_bounds_the_one_batch():
@@ -515,15 +524,17 @@ def test_witness_family_ranges():
 
 @pytest.mark.parametrize("n, d", [(13, 3), (35, 6)])
 def test_witness_family_refuses_a_witness_fixed_by_more_than_h(monkeypatch, n, d):
-    # one prime order (the prime-order rule) and one composite (square-free)
-    scan = census.fixing_subgroup
+    # one prime order (the prime-order rule) and one composite (square-free):
+    # the batch scan reports one more fixer pair for the first member
+    scan = census._unit_fixers
 
-    def one_unit_more(symbol):
-        fixers = scan(symbol).elements
-        extra = next(u for u in units(symbol.n) if u not in fixers)
-        return Subgroup(symbol.n, tuple(sorted((*fixers, extra))))
+    def one_unit_more(n, symbols):
+        k, row = scan(n, symbols)
+        fixers = {*k[row == 0].tolist(), *(n - k[row == 0]).tolist()}
+        extra = next(u for u in units(n) if u not in fixers)
+        return np.append(k, extra), np.append(row, 0)
 
-    monkeypatch.setattr(census, "fixing_subgroup", one_unit_more)
+    monkeypatch.setattr(census, "_unit_fixers", one_unit_more)
     with pytest.raises(
         ConstructionError,
         match=rf"^witness for \(n={n}, d={d}\) is fixed by more than the base subgroup$",

@@ -221,6 +221,39 @@ def test_census_orbit_count_against_the_formula_exits_3(capsys, monkeypatch):
     assert err == "error: enumerated 6 orbits but formula gives 7\n"
 
 
+def test_census_aperiodic_count_not_divisible_by_d_exits_3(capsys, monkeypatch):
+    import circdeg.census as census_module
+
+    # mu = 1 everywhere: the aperiodic count at d = 3 reads 2^1 + 2^3 = 10
+    monkeypatch.setattr(census_module, "mobius", lambda n: 1)
+    assert run(capsys, "census", "13", "3") == (
+        EXIT_DISAGREEMENT, "", "error: aperiodic subset count not divisible by 3\n"
+    )
+
+
+def test_census_coprime_union_not_fixed_by_h_alone_exits_3(capsys, monkeypatch):
+    import circdeg.census as census_module
+
+    # mask 1 (the coset H, row 0 of the batch) loses its hits and is marked
+    # periodic, so the coset model agrees; one coset is coprime to d = 3
+    masks, aperiodic = census_module._orbit_representatives(3)
+    scan = census_module._unit_fixers
+
+    def drop_row_0(n, symbols):
+        k, row = scan(n, symbols)
+        return k[row != 0], row[row != 0]
+
+    monkeypatch.setattr(
+        census_module, "_orbit_representatives", lambda d: (masks, aperiodic & (masks != 1))
+    )
+    monkeypatch.setattr(census_module, "_unit_fixers", drop_row_0)
+    assert run(capsys, "census", "13", "3") == (
+        EXIT_DISAGREEMENT,
+        "",
+        "error: coprime-size subset not fixed exactly by H at p=13, d=3\n",
+    )
+
+
 def test_census_usage_errors(capsys):
     assert run(capsys, "census", "15", "2")[0] == EXIT_USAGE
     assert run(capsys, "census", "13", "4")[0] == EXIT_USAGE
@@ -290,6 +323,22 @@ def test_deg_oracle_disagreement_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "deg", "5:1,4", "--oracle")
     assert code == EXIT_DISAGREEMENT
     assert "disagrees" in err
+
+
+def test_disagreements_keep_their_cache_rules(capsys, monkeypatch, tmp_path):
+    import circdeg.cli as cli_module
+
+    # deg prints its report and caches nothing; integral caches both counts
+    cache = tmp_path / "cache.jsonl"
+    monkeypatch.setattr(cli_module, "splitting_field_degree", lambda s: 999)
+    code, out, _ = run(capsys, "--cache", str(cache), "deg", "5:1,4", "--oracle")
+    assert code == EXIT_DISAGREEMENT
+    assert out.splitlines()[0] == "degree 2" and out.splitlines()[-1] == "oracle 999"
+    assert not cache.exists()
+    monkeypatch.setattr(cli_module, "count_connected_integral", lambda n: 999)
+    code, out, _ = run(capsys, "--cache", str(cache), "integral", "6", "--brute")
+    assert (code, out) == (EXIT_DISAGREEMENT, "count 999\nbrute 5\n")
+    assert [env.output for env in read_cache(str(cache))] == [{"count": 999, "brute": 5}]
 
 
 def test_deg_oracle_over_size_limit_prints_nothing(capsys, monkeypatch):
@@ -515,6 +564,11 @@ def test_deg_at_large_moduli_never_lists_the_units(capsys, monkeypatch):
         ("census", "15", "2"),
         ("deg", "6:0,1"),
         ("deg", "4000000000:1,3999999999"),
+        # an unusable cache path: refused before any output
+        ("--cache", "/", "deg", "13:1,12"),
+        ("--cache", "/", "census", "13", "6", "--witnesses"),
+        ("--cache", "/", "table", "3", "--check"),
+        ("--cache", "/", "integral", "6", "--brute"),
     ],
     ids=" ".join,
 )
