@@ -8,9 +8,9 @@ Small d is enumerated outright; large d falls back to the exact
 aperiodic-subset count.  For general orders only proved lower/upper bounds
 are offered, with explicit witness families realizing the lower bounds, plus
 a brute-force isomorphism census for toy orders.  The census and the witness
-families alike lay out their unions from one coset array (_union_rows) and
-re-verify on residues, in one batched fixer scan per call
-(_fixed_by_exactly), that each union's fixing subgroup is exactly H.
+families alike pass their coset bits to one batched fixer scan per call
+(_fixed_by_exactly), which checks on residues that each union is fixed by
+exactly H, scanning a union of more than d/2 cosets as its complement.
 """
 
 from __future__ import annotations
@@ -285,10 +285,10 @@ def _census_work(p: int, d: int) -> int:
     L/2 candidates.  L is even: |H| = (p-1)/d is, since d divides (p-1)/2.
 
     The census scans all R orbit representatives in one batch of width
-    floor(d/2) * |H| (a union of more than d/2 cosets as its complement),
-    which looks up at most R * (floor(d/2) * |H|/2)^2 products.  That is at
-    most 5 times this bound: the ratio R * floor(d/2)^2 / max_m B_m * m^2
-    does not depend on p, and is largest at d = 14, where it is 4.16.
+    floor(d/2) * |H| (see _fixed_by_exactly), which looks up at most
+    R * (floor(d/2) * |H|/2)^2 products.  That is at most 5 times this
+    bound: the ratio R * floor(d/2)^2 / max_m B_m * m^2 does not depend on
+    p, and is largest at d = 14, where it is 4.16.
 
     The bound also bounds p: the single cosets alone (m = 1, B = 1) need
     ((p-1)/2d)^2 <= _MAX_CENSUS_PRODUCTS = 2^26 products, so an enumerated
@@ -316,40 +316,44 @@ def _least_rotation(keys: np.ndarray) -> np.ndarray:
     return keys.argmax(axis=1)
 
 
-def _union_rows(held: np.ndarray, cosets: np.ndarray, n: int, width: int) -> np.ndarray:
-    """The coset unions named by (B, d) boolean coset bits, as (B, width)
-    int64 rows: each row's residues ascending, padded on the right with n.
+def _union_rows(held: np.ndarray, cosets: np.ndarray, n: int) -> np.ndarray:
+    """The coset unions named by (B, d) boolean coset bits, as (B, W) int64
+    rows: each row's residues ascending, padded on the right with n.
     `cosets` holds the d cosets of a subgroup H of the units mod n as rows,
-    and no union holds more than width / |H| of them.  The rows serve the
+    and W is the most cosets any row holds times |H|.  The rows serve the
     census batch, its witnesses, and the witness families at any n.
 
-    Each row gathers its first width / |H| coset indices, the indices of
-    cosets it lacks replaced by a coset of pads, and sorts only its width,
-    as int32.  Raises ValueError for n >= 2^31, which int32 cannot hold;
-    an enumerated census has p < 2^18 (_census_work)."""
+    Each row gathers its first W / |H| coset indices, the indices of cosets
+    it lacks replaced by a coset of pads, and sorts only its width, as
+    int32.  Raises ValueError for n >= 2^31, which int32 cannot hold; an
+    enumerated census has p < 2^18 (_census_work)."""
     if n >= 1 << 31:
         raise ValueError(f"union rows mod {n} do not fit int32")
-    picked = np.argsort(~held, axis=1, kind="stable")[:, :width // cosets.shape[1]]
+    picked = np.argsort(~held, axis=1, kind="stable")[:, :held.sum(axis=1).max()]
     picked[~np.take_along_axis(held, picked, axis=1)] = len(cosets)
     padded = np.vstack((cosets, np.full(cosets.shape[1], n))).astype(np.int32)
-    rows = padded[picked].reshape(len(held), width)
+    rows = padded[picked].reshape(len(held), picked.shape[1] * cosets.shape[1])
     rows.sort(axis=1)
     return rows.astype(np.int64)
 
 
-def _fixed_by_exactly(n: int, subgroup: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Whether each of the (B, W) unions of cosets of the inverse-symmetric
-    subgroup H (its elements, an int64 array) laid out by _union_rows is
-    fixed by exactly H, in one _unit_fixers scan of all B rows.
+def _fixed_by_exactly(n: int, cosets: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """Whether each of the B unions named by (B, d) coset bits is fixed by
+    exactly H, in one _unit_fixers scan; `cosets` is the (d, |H|) coset
+    array of an inverse-symmetric subgroup H of the units mod n, row 0 H.
 
-    H fixes every union of its cosets.  So a row's fixers are exactly H iff
-    the scan finds |H|/2 hits for it (one of each fixer pair {k, n - k}),
-    none of them outside H."""
-    k, row = _unit_fixers(n, rows)
+    Units permute the units, which the cosets partition, so a unit fixes a
+    union iff it fixes the other cosets, at prime and composite n alike: a
+    union of more than d/2 cosets is scanned as that complement, and every
+    row holds at most floor(d/2) cosets.  H fixes every union of its
+    cosets, so a union's fixers are exactly H iff the scan finds |H|/2 hits
+    for its row (one of each pair {k, n - k}), none of them outside H."""
+    flip = 2 * held.sum(axis=1) > held.shape[1]
+    k, row = _unit_fixers(n, _union_rows(held ^ flip[:, None], cosets, n))
     in_h = np.zeros(n, dtype=bool)
-    in_h[subgroup] = True
-    keeps = 2 * np.bincount(row, minlength=len(rows)) == len(subgroup)
-    keeps &= np.bincount(row[~in_h[k]], minlength=len(rows)) == 0
+    in_h[cosets[0]] = True
+    keeps = 2 * np.bincount(row, minlength=len(held)) == cosets.shape[1]
+    keeps &= np.bincount(row[~in_h[k]], minlength=len(held)) == 0
     return keeps
 
 
@@ -360,12 +364,10 @@ def prime_census(p: int, d: int) -> CensusRecord:
     rotation orbit of nonempty proper subsets of the d cosets of the
     order-(p-1)/d subgroup H, and computes every union's fixing subgroup
     directly on residues, in one batched fixer scan (_fixed_by_exactly) of
-    all R representatives.  At prime p the units are all nonzero
-    residues, so a unit fixes a union iff it fixes the other cosets, its
-    complement: a union of more than d/2 cosets is scanned as its
-    complement.  Every row then holds at most floor(d/2) cosets, and the
-    batch is one int64 array of width W = floor(d/2) * |H|, each row's
-    residues ascending and padded on the right with p.  H holds -1, so
+    all R representatives.  A union of more than d/2 cosets is scanned as
+    its complement (see _fixed_by_exactly), so the batch is one int64
+    array of width W = floor(d/2) * |H|, each row's residues ascending and
+    padded on the right with p.  H holds -1, so
     every union of its cosets is inverse-symmetric, and the scan halves
     both its candidates and its columns: it confirms one unit of each pair
     {k, -k} on the columns below p/2, at most R * (W/2)^2 products; every
@@ -418,13 +420,10 @@ def prime_census(p: int, d: int) -> CensusRecord:
         )
 
     cosets = _prime_cosets(p, d)
-    order = cosets.shape[1]
     masks, aperiodic = _orbit_representatives(d)
     held = (masks[:, None] >> np.arange(d)) & 1 == 1
     sizes = held.sum(axis=1)
-    # a unit fixes a union iff it fixes the other cosets: scan at most d/2
-    scanned = held ^ (2 * sizes > d)[:, None]
-    keeps = _fixed_by_exactly(p, cosets[0], _union_rows(scanned, cosets, p, d // 2 * order))
+    keeps = _fixed_by_exactly(p, cosets, held)
     wrong = np.flatnonzero(keeps != aperiodic)
     if wrong.size:  # name the failing union of fewest cosets, then least mask
         mask = int(masks[wrong[np.lexsort((masks[wrong], sizes[wrong]))[0]]])
@@ -443,7 +442,7 @@ def prime_census(p: int, d: int) -> CensusRecord:
     # witnesses by (size, -key); rotation i moves coset j to j + i
     ranked = np.lexsort((-keys[np.arange(count), chosen], sizes[keeps]))
     turned = np.take_along_axis(kept[ranked], (np.arange(d) - chosen[ranked, None]) % d, axis=1)
-    rows = _union_rows(turned, cosets, p, (d - 1) * order)
+    rows = _union_rows(turned, cosets, p)
     return CensusRecord(p, d, count, CensusWitnesses(p, rows), "coset-orbit-enumeration")
 
 
@@ -478,10 +477,10 @@ def witness_family(n: int, d: int) -> tuple[ConnectionSet, ...]:
     All members are unions of cosets of an inverse-symmetric subgroup H of
     order phi(n)/d, picked per the winning bound's recipe from one (d, |H|)
     coset array (_prime_cosets at prime order, else unitgroup.cosets) and
-    laid out by _union_rows.  One batched fixer scan (_fixed_by_exactly)
-    checks that each has fixing subgroup exactly H.  Each is connected: the
-    scan inverts each row's first residue mod n and refuses one that is not
-    a unit, and one unit in S makes gcd(S, n) = 1.  Valencies are distinct.
+    laid out by _union_rows, after one batched fixer scan
+    (_fixed_by_exactly) checks that each has fixing subgroup exactly H.
+    Each holds a coset of units, so gcd(S, n) = 1 and it is connected.
+    Valencies are distinct.
     """
     target, rule = lower_bound(n, d)
 
@@ -502,12 +501,13 @@ def witness_family(n: int, d: int) -> tuple[ConnectionSet, ...]:
         else:
             chain_cosets = _coprime_chain(orders, d, with_primes=(rule == "phi-plus-omega"))
         held = np.array([[i in kept for i in range(d)] for kept in chain_cosets])
-    rows = _union_rows(held, table, n, held.sum(axis=1).max() * table.shape[1])
-    if not _fixed_by_exactly(n, table[0], rows).all():
+    keeps = _fixed_by_exactly(n, table, held)
+    if not keeps.all():
+        member = np.flatnonzero(held[keeps.argmin()]).tolist()
         raise ConstructionError(
-            f"witness for (n={n}, d={d}) is fixed by more than the base subgroup"
+            f"witness for (n={n}, d={d}) on cosets {member} is not fixed by exactly H"
         )
-    family = tuple(CensusWitnesses(n, rows))
+    family = tuple(CensusWitnesses(n, _union_rows(held, table, n)))
     if len(family) != target:  # pragma: no cover
         raise ConstructionError(
             f"built {len(family)} witnesses for (n={n}, d={d}), expected {target}"

@@ -126,14 +126,33 @@ def element_order(n: int, a: int) -> int:
 
 
 def is_subgroup(n: int, elements) -> bool:
-    """True iff the given nonempty residue set is multiplicatively closed mod n."""
+    """True iff the given nonempty residue set is multiplicatively closed mod n.
+
+    Grows a subgroup K inside the set T, from K = {1}, in time linear in
+    |T|: each x of T outside K extends K to the group K u Kx u ... u Kx^(t-1)
+    it generates with x (units commute), t the least power with x^t in K,
+    and the answer is False as soon as one coset Kx^i leaves T.  When the
+    walk ends K holds every element of T and lies inside it, so T = K.
+    """
     elems = {x % n for x in elements}
     for x in elems:
         if math.gcd(x, n) != 1:
             raise ValueError(f"{x} is not a unit mod {n}")
-    if not elems:
+    if 1 % n not in elems:
         return False
-    return all(x * y % n in elems for x in elems for y in elems)
+    span = {1 % n}
+    for x in elems:
+        if x in span:
+            continue
+        grown, coset, power = set(span), span, x
+        while power not in span:
+            coset = {y * x % n for y in coset}
+            if not coset <= elems:
+                return False
+            grown |= coset
+            power = power * x % n
+        span = grown
+    return True
 
 
 def _subgroup_basis(n: int, order: int) -> tuple[tuple[int, int], ...]:

@@ -296,12 +296,13 @@ def test_prime_census_work_limit_boundary(monkeypatch):
 
 
 def test_union_rows_refuse_moduli_past_int32():
-    # one row, the first of two one-residue cosets; p - 1 still fits int32
-    held, cosets = np.array([[True, False]]), np.array([[5], [7]])
-    rows = census._union_rows(held, cosets, (1 << 31) - 1, 2)
-    assert rows.tolist() == [[5, (1 << 31) - 1]] and rows.dtype == np.int64
+    # two one-residue cosets: the second row holds both, so the rows are two
+    # wide and the first, which holds one, carries the pad p - 1 < 2^31
+    held, cosets = np.array([[True, False], [True, True]]), np.array([[5], [7]])
+    rows = census._union_rows(held, cosets, (1 << 31) - 1)
+    assert rows.tolist() == [[5, (1 << 31) - 1], [5, 7]] and rows.dtype == np.int64
     with pytest.raises(ValueError, match=r"^union rows mod 2147483648 do not fit int32$"):
-        census._union_rows(held, cosets, 1 << 31, 2)
+        census._union_rows(held, cosets, 1 << 31)
 
 
 def test_benchmark_censuses_stay_far_below_the_work_limit():
@@ -380,13 +381,15 @@ def test_one_fixer_scan_per_census_and_per_table(monkeypatch):
     def no_lone_scan(*args):
         raise AssertionError("lone _mappers scan")
 
-    # a witness family checks all its members in one batch, never one alone
+    # a witness family checks all its members in one batch, never one alone,
+    # each member of more than d/2 cosets as its complement
     monkeypatch.setattr(circulant, "_mappers", no_lone_scan)
     for n, d in ((13, 3), (35, 6)):
         calls.clear()
         family = witness_family(n, d)
         (shape,) = calls
         assert shape[0] == len(family) == lower_bound(n, d)[0]
+        assert shape[1] <= d // 2 * (euler_phi(n) // d), (n, d, shape)
 
 
 def test_census_work_bounds_the_one_batch():
@@ -537,7 +540,27 @@ def test_witness_family_refuses_a_witness_fixed_by_more_than_h(monkeypatch, n, d
     monkeypatch.setattr(census, "_unit_fixers", one_unit_more)
     with pytest.raises(
         ConstructionError,
-        match=rf"^witness for \(n={n}, d={d}\) is fixed by more than the base subgroup$",
+        match=rf"^witness for \(n={n}, d={d}\) on cosets \[0\] is not fixed by exactly H$",
+    ):
+        witness_family(n, d)
+
+
+@pytest.mark.parametrize("n, d, member", [(13, 3, "0, 1"), (35, 6, "0, 1, 2, 3")])
+def test_witness_family_refuses_a_witness_fixed_by_fewer_than_h(monkeypatch, n, d, member):
+    # the batch scan drops every hit of the last member, which holds more
+    # than d/2 cosets and is scanned as its complement; the refusal names
+    # the member's own cosets
+    scan = census._unit_fixers
+
+    def last_row_dropped(n, symbols):
+        k, row = scan(n, symbols)
+        kept = row != len(symbols) - 1
+        return k[kept], row[kept]
+
+    monkeypatch.setattr(census, "_unit_fixers", last_row_dropped)
+    with pytest.raises(
+        ConstructionError,
+        match=rf"^witness for \(n={n}, d={d}\) on cosets \[{member}\] is not fixed by exactly H$",
     ):
         witness_family(n, d)
 

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -214,3 +215,23 @@ def test_is_subgroup():
     assert not is_subgroup(10, set())
     with pytest.raises(ValueError):
         is_subgroup(10, {1, 5})
+
+
+def test_is_subgroup_matches_brute_force_closure():
+    # random unit subsets mod n <= 60, and every subgroup with one unit
+    # added or one element dropped, against all |T|^2 products
+    def closed(n, elems):
+        return bool(elems) and all(x * y % n in elems for x in elems for y in elems)
+
+    rng = random.Random(7)
+    for n in range(1, 61):
+        pool = units(n)
+        for _ in range(50):
+            elems = set(rng.sample(pool, rng.randint(0, len(pool))))
+            assert is_subgroup(n, elems) == closed(n, elems), (n, elems)
+        for order in divisors(euler_phi(n)):
+            subgroup = set(subgroup_of_order(n, order).elements)
+            assert is_subgroup(n, subgroup)
+            for u in pool:
+                changed = subgroup ^ {u}
+                assert is_subgroup(n, changed) == closed(n, changed), (n, changed)
