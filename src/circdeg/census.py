@@ -486,7 +486,7 @@ def witness_family(n: int, d: int) -> tuple[ConnectionSet, ...]:
 
     if rule == "prime-order":
         table = _prime_cosets(n, d)
-        held = np.tri(d - 1, d, dtype=bool)  # the nested chain: member m holds cosets 0..m-1
+        chain, sizes = range(d), range(1, d)
     else:
         subgroup = inverse_symmetric_subgroup(n, euler_phi(n) // d)
         table = np.array(cosets(n, subgroup), dtype=np.int64)
@@ -497,10 +497,11 @@ def witness_family(n: int, d: int) -> tuple[ConnectionSet, ...]:
             t = next(t for t in divs if pow(x, t, n) in subgroup)
             orders.setdefault(t, []).append(i)
         if rule == "square-free":
-            chain_cosets = _square_free_chain(orders, d)
+            chain, sizes = _square_free_chain(orders, d)
         else:
-            chain_cosets = _coprime_chain(orders, d, with_primes=(rule == "phi-plus-omega"))
-        held = np.array([[i in kept for i in range(d)] for kept in chain_cosets])
+            chain, sizes = _coprime_chain(orders, d, with_primes=(rule == "phi-plus-omega"))
+    held = np.zeros((len(sizes), d), dtype=bool)  # member m: the first sizes[m] chain cosets
+    held[:, list(chain)] = np.arange(len(chain)) < np.array(sizes)[:, None]
     keeps = _fixed_by_exactly(n, table, held)
     if not keeps.all():
         member = np.flatnonzero(held[keeps.argmin()]).tolist()
@@ -515,8 +516,8 @@ def witness_family(n: int, d: int) -> tuple[ConnectionSet, ...]:
     return family
 
 
-def _square_free_chain(orders: dict[int, list[int]], d: int) -> list[list[int]]:
-    """Nested coset-index sets realizing the d - omega(d) bound.
+def _square_free_chain(orders: dict[int, list[int]], d: int) -> tuple[list[int], range]:
+    """A coset-index chain whose prefixes realize the d - omega(d) bound, and their sizes.
 
     `orders` groups the coset indices by their order in the quotient.  The
     quotient is cyclic (square-free order), so adjoining all elements of
@@ -526,7 +527,6 @@ def _square_free_chain(orders: dict[int, list[int]], d: int) -> list[list[int]]:
     if max(orders) != d:
         raise ConstructionError("quotient is not cyclic; expected square-free order")
     chain = [0]
-    prefixes = [list(chain)]
     primes_first = sorted(orders, key=lambda t: (not is_prime(t), t))
     for t in primes_first:
         if t == 1:
@@ -534,16 +534,14 @@ def _square_free_chain(orders: dict[int, list[int]], d: int) -> list[list[int]]:
         pool = orders[t]
         if is_prime(t):
             pool = pool[:-1]  # leave out one element of each prime order
-        for idx in pool:
-            chain.append(idx)
-            prefixes.append(list(chain))
-    return prefixes
+        chain.extend(pool)
+    return chain, range(1, len(chain) + 1)
 
 
 def _coprime_chain(
     orders: dict[int, list[int]], d: int, with_primes: bool
-) -> list[list[int]]:
-    """Prefix sets of sizes coprime to d (plus prime sizes when requested).
+) -> tuple[list[int], list[int]]:
+    """A chain of the d coset indices, and prefix sizes coprime to d (or prime, if asked).
 
     `orders` groups the coset indices 0..d-1 by their order in the quotient.
     When d is not a prime power the second and third chain elements are
@@ -562,7 +560,7 @@ def _coprime_chain(
     wanted = {m for m in range(1, d) if math.gcd(m, d) == 1}
     if with_primes:
         wanted.update(q for q in divisors(d) if q != 1 and is_prime(q))
-    return [chain[:m] for m in sorted(wanted)]
+    return chain, sorted(wanted)
 
 
 def power_sum_nonvanishing(p: int, d: int, m: int) -> bool:

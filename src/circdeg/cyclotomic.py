@@ -60,20 +60,9 @@ _MAX_ORACLE_WORK = 1 << 27
 _FINGERPRINT_SEED = 20240
 # Fingerprint weights for n up to this many come from one kept 32 KB stream.
 _FINGERPRINT_STREAM = 4096
-# Folded cells (n//2 + 1) * |block| of one block of the fingerprint sum, a
-# block being elements s < n - s; about 12 B each (an int32 index and a
-# uint64 gather; 16 B where n needs int64 indices).  Any n <= 768 with
-# |S| < n fits in one.
-_FINGERPRINT_BLOCK_CELLS = 1 << 22
-# Gathered cells |block| * tau(n) of one block of _fixer_gaps, per stacked
-# fingerprint row, a block being consecutive units: about 12 B each as for
-# the fingerprint blocks.
-_GAP_BLOCK_CELLS = 1 << 20
-
-
-def _index_dtype(largest: int) -> type:
-    """int32 where every index product is at most `largest` < 2^31, else int64."""
-    return np.int32 if largest < 2**31 else np.int64
+# Gathered cells |block| * len(xs) of one block of _gathered, per stacked
+# table row.  Any n <= 768 with |S| < n fits its fingerprints in one.
+_GATHER_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -319,6 +308,35 @@ def _weights(n: int) -> np.ndarray:
     return _weight_stream()[:n] if n <= _FINGERPRINT_STREAM else _draw_weights(n)
 
 
+def _gathered(
+    table: np.ndarray, xs: np.ndarray, ys: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """out[..., i] = sum over j of weights[j] * table[..., xs[i]*ys[j] mod n]
+    mod 2^64, with n = table.shape[-1]: the gather behind both the
+    fingerprints and the fixer test.
+
+    Callers pass 0 <= xs < n and 0 <= ys <= n/2 (paired elements s < n - s,
+    or divisors of n taken mod n), so an index product is at most
+    (n - 1) * (n//2); the index table is int32 wherever that is below 2^31,
+    else int64, a rule that reads n alone.  The sum runs over blocks of ys
+    of about _GATHER_BLOCK_CELLS gathered cells each, per stacked table row
+    (at least one y), about 12 B a cell (an int32 index and a uint64
+    gather; 16 B with int64 indices), so memory does not grow with
+    len(xs) * len(ys).  Addition mod 2^64 is commutative and associative,
+    so the blocks do not change the result.
+    """
+    n = table.shape[-1]
+    index = np.int32 if (n - 1) * (n // 2) < 2**31 else np.int64
+    xs, ys = xs.astype(index, copy=False), ys.astype(index, copy=False)
+    out = np.zeros(table.shape[:-1] + xs.shape, dtype=np.uint64)
+    step = max(1, _GATHER_BLOCK_CELLS // len(xs))
+    for lo in range(0, len(ys), step):
+        cols = np.multiply.outer(ys[lo : lo + step], xs)
+        cols -= cols // n * n
+        out += weights[lo : lo + step] @ np.take(table, cols, axis=-1)
+    return out
+
+
 def _fingerprints(n: int, elements: Sequence[int]) -> np.ndarray:
     """fp[j] = <H_j * g_n, w> mod 2^64 for every j, w a fixed random vector.
 
@@ -329,17 +347,15 @@ def _fingerprints(n: int, elements: Sequence[int]) -> np.ndarray:
     - mirror: fp[n - j] = sum of w'[-j*s] = sum of w'[j*(-s)] = fp[j], so
       only j = 0..n//2 are gathered and the rest are copied;
     - pairs: with folded weights u[x] = w'[x] + w'[-x mod n], fp[j] is the
-      sum of u[j*s mod n] over the s in S with s < n - s, plus w'[j*n/2]
-      once when n/2 is in S.  In the sorted S these are the first |S|//2
-      elements and, for odd |S|, the middle one.
+      sum of u[j*s mod n] over the s in S with s < n - s, plus w'[j*m mod n]
+      once for the middle element m of an odd |S|.  In the sorted S these
+      are the first |S|//2 elements and the middle one.  m = -m mod n makes
+      m 0 or n/2, so j*m mod n is (j mod 2) * m and needs no gather.
 
     Raises ValueError unless elements are ascending and inverse-symmetric
-    mod n, which both identities need.  The sum runs over blocks of paired
-    elements of about _FINGERPRINT_BLOCK_CELLS gathered cells each (at least
-    one element).  Addition mod 2^64 is commutative and associative, so
-    neither the folding nor the blocks change the result.  Every index
-    product j*s has j <= n//2 and s <= n//2, so it is at most (n//2)^2 and
-    the index table is int32 wherever that is below 2^31.
+    mod n, which both identities need.  The paired sum is one _gathered
+    call; addition mod 2^64 is commutative and associative, so the folding
+    does not change the result.
     """
     elements = np.array(elements, dtype=np.int64)
     mirror = (n - elements[::-1]) % n
@@ -354,22 +370,12 @@ def _fingerprints(n: int, elements: Sequence[int]) -> np.ndarray:
     weights = _weights(n)
     for p in factorize(n).primes():
         weights = np.concatenate([weights[n // p :], weights[: n // p]]) - weights
-    half = n // 2 + 1
-    index = _index_dtype((n // 2) ** 2)
-    js = np.arange(half, dtype=index)
-    pairs = elements[: len(elements) // 2].astype(index, copy=False)
-    if len(elements) % 2:
-        cols = js * int(elements[len(elements) // 2])
-        cols -= cols // n * n
-        fp = np.take(weights, cols)
-    else:
-        fp = np.zeros(half, dtype=np.uint64)
+    js = np.arange(n // 2 + 1)
+    pairs = elements[: len(elements) // 2]
     folded = weights + np.concatenate([weights[:1], weights[:0:-1]])
-    step = max(1, _FINGERPRINT_BLOCK_CELLS // half)
-    for lo in range(0, len(pairs), step):
-        cols = np.multiply.outer(pairs[lo : lo + step], js)
-        cols -= cols // n * n
-        fp += np.take(folded, cols).sum(axis=0, dtype=np.uint64)
+    fp = _gathered(folded, js, pairs, np.ones(len(pairs), dtype=np.uint64))
+    if len(elements) % 2:
+        fp += weights[js % 2 * int(elements[len(elements) // 2])]
     return np.concatenate([fp, fp[1 : (n + 1) // 2][::-1]])
 
 
@@ -420,13 +426,9 @@ def _fixer_gaps(fp: np.ndarray, units: np.ndarray, divs: np.ndarray) -> np.ndarr
 
         delta[..., i] = sum over g in divs of c_g * (fp[..., k*g] - fp[..., g])
 
-    mod 2^64, computed as the key sum of c_g * fp[..., k*g] less the key of
-    units[0].  The weights c_g are the first tau(n) draws of the
-    fingerprint stream, made odd.  The keys are written block by block of
-    units, each of about _GAP_BLOCK_CELLS gathered cells per fingerprint
-    row (at least one unit), so memory does not grow with phi(n) tau(n).
-    An index product k*g is at most (n - 1)^2, so the index table is int32
-    wherever that is below 2^31.
+    mod 2^64, computed as the _gathered key sum of c_g * fp[..., k*g] less
+    the key of units[0].  The weights c_g are the first tau(n) draws of the
+    fingerprint stream, made odd.
 
     Every j is g*u for g = gcd(j, n) and a unit u, and the automorphisms
     commute, so k fixes every eigenvalue iff row k*g equals row g for every
@@ -436,16 +438,7 @@ def _fixer_gaps(fp: np.ndarray, units: np.ndarray, divs: np.ndarray) -> np.ndarr
     callers settle that case on exact rows.  delta is linear in fp, so the
     deltas of a sum of fingerprint rows are the sums of their deltas.
     """
-    n = fp.shape[-1]
-    index = _index_dtype((n - 1) ** 2)
-    units, divs = units.astype(index, copy=False), divs.astype(index, copy=False)
-    weights = _weights(len(divs)) | 1
-    keys = np.empty(fp.shape[:-1] + units.shape, dtype=np.uint64)
-    step = max(1, _GAP_BLOCK_CELLS // max(1, len(divs)))
-    for lo in range(0, len(units), step):
-        cols = np.multiply.outer(units[lo : lo + step], divs)
-        cols -= cols // n * n
-        keys[..., lo : lo + step] = np.take(fp, cols, axis=-1) @ weights
+    keys = _gathered(fp, units, divs, _weights(len(divs)) | 1)
     return keys - keys[..., :1]
 
 

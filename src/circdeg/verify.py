@@ -21,6 +21,7 @@ import numpy as np
 from . import numtheory
 from .census import (
     canonical_form,
+    exact_count_prime_degree,
     lower_bound,
     multiplier_orbit_check,
     power_sum_nonvanishing,
@@ -31,6 +32,7 @@ from .circulant import (
     algebraic_degree,
     make_connection_set,
     minimal_prime_construction,
+    multiplier_image,
     multiplier_isomorphic,
     pair_orbits,
     regular_construction,
@@ -203,8 +205,15 @@ def check_example_census(p: int, d: int) -> CheckResult:
             f"census({p},{d}) = {record.value}, expected {len(expected)}"
         )
         _require(multiplier_orbit_check(record), "witnesses not pairwise distinct")
+        # canonical_form is constant on multiplier orbits: each witness is the
+        # form of itself and of its image under 2, not +-1 mod these primes
         for w in record.witnesses:
             _require(canonical_form(w) == w, f"witness {w.encode()} is not canonical")
+            image = multiplier_image(w, 2)
+            _require(
+                canonical_form(image) == w,
+                f"witness {w.encode()} is not the canonical form of its image {image.encode()}"
+            )
         matched = set()
         for known in expected:
             target = make_connection_set(p, known)
@@ -236,18 +245,25 @@ def check_prime_degree_counts(p_max: int = 300) -> CheckResult:
             if d not in (2, 3, 5, 7):
                 continue
             record = prime_census(p, d)
-            want = (2**d - 2) // d
+            want, formula = (2**d - 2) // d, exact_count_prime_degree(d)
             _require(
-                record.value == want,
-                f"census({p},{d}) = {record.value}, expected {want}"
+                record.value == want == formula,
+                f"census({p},{d}) = {record.value} and exact_count_prime_degree({d}) = "
+                f"{formula}, expected (2^d - 2)/d = {want}"
             )
             pairs += 1
-        return f"{pairs} (p, d) pairs match (2^d - 2)/d"
+        return f"{pairs} (p, d) pairs match (2^d - 2)/d and exact_count_prime_degree"
 
     return _run("prime-degree-exact-counts", body)
 
 
 def check_sandwich(p_max: int = 200) -> CheckResult:
+    """lower_bound <= census <= prime_order_upper_bound at every (p, d), with
+    the upper bound met at prime d.  There every nonempty proper union of
+    the d cosets has trivial rotation stabilizer, so the census is exactly
+    (2^d - 2)/d, which the bound reduces to; an inequality alone would pass
+    a bound that is too large."""
+
     def body() -> str:
         pairs = 0
         for p, d in _prime_order_degrees(p_max):
@@ -255,11 +271,12 @@ def check_sandwich(p_max: int = 200) -> CheckResult:
             mid = prime_census(p, d).value
             high = prime_order_upper_bound(d)
             _require(
-                low <= mid <= high,
+                low <= mid <= high and (mid == high or not is_prime(d)),
                 f"sandwich fails at (p={p}, d={d}): {low} <= {mid} <= {high}"
+                + (", and equality is due at prime d" if is_prime(d) else "")
             )
             pairs += 1
-        return f"{pairs} (p, d) pairs satisfy lower <= census <= upper"
+        return f"{pairs} (p, d) pairs satisfy lower <= census <= upper, equal at prime d"
 
     return _run("sandwich-bounds", body)
 

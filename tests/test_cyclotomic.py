@@ -387,17 +387,17 @@ def test_fingerprints_project_the_exact_rows():
 
 
 def test_fingerprint_blocks_change_nothing(monkeypatch):
-    # The uint64 sum wraps mod 2^64, so summing one element per block gives
+    # The uint64 sum wraps mod 2^64, so one y per _gathered block gives
     # bit-identical fingerprints and the same degrees ...
     symbols = [*random_symbols(60, 2, 400, seed=43), make_connection_set(12, set())]
     whole = [(_fingerprints(s.n, s.elements), splitting_field_degree(s)) for s in symbols]
-    monkeypatch.setattr(cyclotomic_module, "_FINGERPRINT_BLOCK_CELLS", 1)
+    monkeypatch.setattr(cyclotomic_module, "_GATHER_BLOCK_CELLS", 1)
     for symbol, (fp, degree) in zip(symbols, whole):
         assert np.array_equal(_fingerprints(symbol.n, symbol.elements), fp), symbol
         assert splitting_field_degree(symbol) == degree, symbol
-    # ... and the default block holds any symbol with n <= 768 whole.
+    # ... and the default block holds the fingerprints of any n <= 768 whole.
     monkeypatch.undo()
-    assert 768 * 767 <= cyclotomic_module._FINGERPRINT_BLOCK_CELLS
+    assert (768 // 2 + 1) * (768 // 2 - 1) <= cyclotomic_module._GATHER_BLOCK_CELLS
 
 
 def _seed_weights(n):
@@ -418,7 +418,7 @@ def _plain_fingerprints(n, elements):
 @pytest.mark.parametrize("block_cells", [None, 1], ids=["default-block", "block-1"])
 def test_folded_fingerprints_equal_the_plain_gather(monkeypatch, block_cells):
     if block_cells is not None:
-        monkeypatch.setattr(cyclotomic_module, "_FINGERPRINT_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(cyclotomic_module, "_GATHER_BLOCK_CELLS", block_cells)
     # every symbol with n <= 12 (n = 1..4, odd n, even n with and without
     # n/2 in S), then random ones up to n = 768
     symbols = [*_symmetric_symbols(12), *random_symbols(120, 2, 768, seed=47)]
@@ -437,11 +437,14 @@ def _sparse_symbol(n):
     return make_connection_set(n, elems)
 
 
-@pytest.mark.parametrize("n", [92680, 92681, 92682])
+# The gather's index table is int32 while (n - 1) * (n//2) < 2^31, so up
+# to n = 65536.  The other moduli check each width away from the boundary.
+@pytest.mark.parametrize("n", [65536, 65537, 92680, 92681, 92682])
 def test_fingerprints_at_the_int32_index_boundary(n):
-    # Index products j*s reach (n//2)^2, below 2^31 up to n = 92681; at
-    # 92682 the middle element n/2 gives 46341^2 > 2^31, which int32 would
-    # wrap.
+    # Index products j*s reach (n//2) * ((n - 1)//2): 32768 * 32767 < 2^31
+    # at 65536, and 32768^2 = 2^31 at 65537, where the rule takes int64.
+    # (int32 would wrap that one product to minus its residue, which the
+    # folded weights, symmetric under x -> -x, happen to absorb.)
     elements = _sparse_symbol(n).elements
     assert np.array_equal(_fingerprints(n, elements), _plain_fingerprints(n, elements))
 
@@ -455,10 +458,11 @@ def _plain_fixer_gaps(fp, n):
     return unit, divs, keys - keys[..., :1]
 
 
-@pytest.mark.parametrize("n", [46340, 46341, 46342, 65538])
+@pytest.mark.parametrize("n", [46340, 46341, 46342, 65536, 65537, 65538])
 def test_fixer_gaps_at_the_int32_index_boundary(n):
-    # Index products k*g reach (n - 1)^2, below 2^31 up to n = 46341; at
-    # 65538 = 2 * 32769 the product 65537 * 32769 is past 2^31.
+    # Index products k*g reach (n - 1) * (n/2) for even n: 65535 * 32768 <
+    # 2^31 at 65536 and 65537 * 32769 > 2^31 at 65538.  The prime 65537 has
+    # no divisor but 1 below n, yet takes int64, as the rule reads n alone.
     fp = _fingerprints(n, _sparse_symbol(n).elements)
     unit, divs, expected = _plain_fixer_gaps(fp, n)
     assert np.array_equal(cyclotomic_module._fixer_gaps(fp, unit, divs), expected)
@@ -466,8 +470,8 @@ def test_fixer_gaps_at_the_int32_index_boundary(n):
 
 @pytest.mark.parametrize("block_cells", [1, 50])
 def test_fixer_gap_blocks_change_nothing(monkeypatch, block_cells):
-    # The sweep's stacked (orbits x n) fingerprints and the oracle's degrees
-    # are the same with one unit (or a few) per block ...
+    # The sweep's stacked (orbits x n) fixer gaps and the oracle's degrees
+    # are the same with one unit (or a few) per _gathered block ...
     stacks = {}
     for n in (1, 2, 12, 30, 45, 60):
         orbits = [(s, n - s) for s in range(1, n // 2 + 1)]
@@ -477,12 +481,12 @@ def test_fixer_gap_blocks_change_nothing(monkeypatch, block_cells):
         stacks[n] = (fp, *_plain_fixer_gaps(fp, n))
     symbols = random_symbols(80, 2, 400, seed=67)
     degrees = [splitting_field_degree(s) for s in symbols]
-    monkeypatch.setattr(cyclotomic_module, "_GAP_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(cyclotomic_module, "_GATHER_BLOCK_CELLS", block_cells)
     for n, (fp, unit, divs, expected) in stacks.items():
         assert np.array_equal(cyclotomic_module._fixer_gaps(fp, unit, divs), expected), n
     for symbol, degree in zip(symbols, degrees):
         assert splitting_field_degree(symbol) == degree, symbol
-    # ... and an empty divisor list takes a step of one unit, not 1 // 0.
+    # ... and no divisors give all-zero gaps of the stacked shape.
     no_divs = np.array([], dtype=np.int64)
     gaps = cyclotomic_module._fixer_gaps(np.zeros((2, 1), np.uint64), np.array([0]), no_divs)
     assert gaps.shape == (2, 1) and not gaps.any()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import circdeg
-from circdeg import circulant, cyclotomic, integral, numtheory, verify
+from circdeg import circulant, cyclotomic, integral, numtheory, unitgroup, verify
 from circdeg.circulant import algebraic_degree, make_connection_set, pair_orbits
 from circdeg.cyclotomic import splitting_field_degree
 
@@ -187,6 +187,13 @@ def test_independent_routes_share_no_code():
     assert not brute & {"mobius", "count_connected_integral"}
 
 
+def test_scan_route_never_sees_the_oracle_gather():
+    # The unit scan and the eigenvalue oracle check each other, so the
+    # scan's modules must not reach the oracle's one gather kernel.
+    for module in (circulant, numtheory, unitgroup):
+        assert "_gathered" not in _referenced_names(module) | set(vars(module)), module
+
+
 def test_sweep_calls_neither_public_degree_route():
     # The sweep decides kS = S and the eigenvalue fixers itself, so it
     # checks the public routes instead of repeating them.
@@ -234,6 +241,32 @@ def test_fault_injection_is_caught(monkeypatch):
     result = verify.check_arithmetic_identities(200)
     assert not result.passed
     assert "totient" in result.detail
+
+
+def test_prime_degree_check_sees_a_wrong_closed_form(monkeypatch):
+    good = verify.exact_count_prime_degree
+    monkeypatch.setattr(verify, "exact_count_prime_degree", lambda d: good(d) + 1)
+    result = verify.check_prime_degree_counts(13)
+    assert not result.passed
+    assert result.detail.startswith("census(5,2) = 1 and exact_count_prime_degree(2) = 2,")
+
+
+def test_sandwich_check_sees_a_loose_upper_bound(monkeypatch):
+    # census <= bound + 5 holds everywhere; only equality at prime d fails
+    good = verify.prime_order_upper_bound
+    monkeypatch.setattr(verify, "prime_order_upper_bound", lambda d: good(d) + 5)
+    result = verify.check_sandwich(13)
+    assert not result.passed
+    assert result.detail.startswith("sandwich fails at (p=5, d=2): 1 <= 1 <= 6")
+
+
+def test_example_census_sees_a_canonical_form_that_is_the_identity(monkeypatch):
+    # each witness is its own image, but not that of its multiple by 2
+    monkeypatch.setattr(verify, "canonical_form", lambda symbol: symbol)
+    result = verify.check_example_census(11, 5)
+    assert not result.passed
+    witness = verify.prime_census(11, 5).witnesses[0].encode()
+    assert result.detail.startswith(f"witness {witness} is not the canonical form of")
 
 
 def test_integral_check_sees_a_dropped_divisor(monkeypatch):
