@@ -10,7 +10,9 @@ are offered, with explicit witness families realizing the lower bounds, plus
 a brute-force isomorphism census for toy orders.  The census and the witness
 families alike pass their coset bits to one batched fixer scan per call
 (_fixed_by_exactly), which checks on residues that each union is fixed by
-exactly H, scanning a union of more than d/2 cosets as its complement.
+exactly H, scanning a union of more than d/2 cosets as its complement; the
+census scans only its orbits of at most d/2 cosets, and each larger orbit
+takes the verdict of its complement's orbit (_deciding_representatives).
 """
 
 from __future__ import annotations
@@ -277,6 +279,42 @@ def _orbit_representatives(d: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, aperiodic
 
 
+@lru_cache(maxsize=DEFAULT_ENUMERATION_LIMIT)
+def _deciding_representatives(d: int) -> np.ndarray:
+    """For each orbit representative of _orbit_representatives(d), the
+    position among them of the one whose fixer scan decides it: its own for
+    a union of at most d/2 cosets, else the least of the d rotations of its
+    complemented mask, found by np.searchsorted in the ascending masks.
+
+    Among the units, Fix(U) = Fix(U^c): units permute the units, which the
+    cosets partition (the complement rule of _fixed_by_exactly).  And
+    Fix(r^i U) = Fix(U), because the units commute: k r^i U = r^i U iff
+    k U = U.  The complement of the union of the cosets of a mask is the
+    union of the cosets of the complemented mask, and its rotations are
+    r^i times that union, so every rotation of the complement has the fixers
+    of U, and the orbit representative among them, of fewer than d/2
+    cosets, decides U.  Raises ConstructionError, naming d and the mask, if
+    that least rotation is not a representative.  It depends on d alone, so
+    it is kept, in a read-only array."""
+    masks, _ = _orbit_representatives(d)
+    full, shift = (1 << d) - 1, np.arange(d)
+    position = np.arange(len(masks))
+    large = 2 * ((masks[:, None] >> shift) & 1).sum(axis=1) > d
+    complement = (full ^ masks[large])[:, None]
+    least = (((complement << shift) | (complement >> (d - shift))) & full).min(axis=1)
+    found = np.searchsorted(masks, least)
+    missing = masks[np.minimum(found, len(masks) - 1)] != least
+    if missing.any():
+        i = np.flatnonzero(missing)[0]
+        raise ConstructionError(
+            f"no orbit representative {least[i]:b} for the complement of "
+            f"mask {masks[large][i]:b} at d={d}"
+        )
+    position[large] = found
+    position.setflags(write=False)
+    return position
+
+
 def _census_work(p: int, d: int) -> int:
     """The work measure of prime_census(p, d) that _MAX_CENSUS_PRODUCTS
     bounds: the most products B * (L/2)^2 that the unions of one size m
@@ -284,11 +322,13 @@ def _census_work(p: int, d: int) -> int:
     of L = m * |H| residues confirmed on its L/2 residues below p/2 for its
     L/2 candidates.  L is even: |H| = (p-1)/d is, since d divides (p-1)/2.
 
-    The census scans all R orbit representatives in one batch of width
-    floor(d/2) * |H| (see _fixed_by_exactly), which looks up at most
-    R * (floor(d/2) * |H|/2)^2 products.  That is at most 5 times this
-    bound: the ratio R * floor(d/2)^2 / max_m B_m * m^2 does not depend on
-    p, and is largest at d = 14, where it is 4.16.
+    The census scans the R' orbit representatives of at most d/2 cosets
+    in one batch of width floor(d/2) * |H|, each larger one taking the
+    verdict of its complement's orbit (_deciding_representatives), and
+    looks up at most R' * (floor(d/2) * |H|/2)^2 products.  That is at most
+    3 times this bound: the ratio R' * floor(d/2)^2 / max_m B_m * m^2 does
+    not depend on p, and is largest at d = 14, where R' = 713 of the R =
+    1,180 representatives and it is 2.52.
 
     The bound also bounds p: the single cosets alone (m = 1, B = 1) need
     ((p-1)/2d)^2 <= _MAX_CENSUS_PRODUCTS = 2^26 products, so an enumerated
@@ -323,18 +363,17 @@ def _union_rows(held: np.ndarray, cosets: np.ndarray, n: int) -> np.ndarray:
     and W is the most cosets any row holds times |H|.  The rows serve the
     census batch, its witnesses, and the witness families at any n.
 
-    Each row gathers its first W / |H| coset indices, the indices of cosets
-    it lacks replaced by a coset of pads, and sorts only its width, as
-    int32.  Raises ValueError for n >= 2^31, which int32 cannot hold; an
-    enumerated census has p < 2^18 (_census_work)."""
+    One np.where over the (B, d, |H|) coset cube, as int32, puts n in place
+    of every residue of a coset a row lacks; each row of d * |H| cells is
+    sorted once, the pads sort last, and the first W are kept.  Raises
+    ValueError for n >= 2^31, which int32 cannot hold; an enumerated census
+    has p < 2^18 (_census_work)."""
     if n >= 1 << 31:
         raise ValueError(f"union rows mod {n} do not fit int32")
-    picked = np.argsort(~held, axis=1, kind="stable")[:, :held.sum(axis=1).max()]
-    picked[~np.take_along_axis(held, picked, axis=1)] = len(cosets)
-    padded = np.vstack((cosets, np.full(cosets.shape[1], n))).astype(np.int32)
-    rows = padded[picked].reshape(len(held), picked.shape[1] * cosets.shape[1])
+    width = held.sum(axis=1).max() * cosets.shape[1]
+    rows = np.where(held[:, :, None], cosets.astype(np.int32), np.int32(n)).reshape(len(held), -1)
     rows.sort(axis=1)
-    return rows.astype(np.int64)
+    return rows[:, :width].astype(np.int64)
 
 
 def _fixed_by_exactly(n: int, cosets: np.ndarray, held: np.ndarray) -> np.ndarray:
@@ -362,23 +401,27 @@ def prime_census(p: int, d: int) -> CensusRecord:
 
     For d up to DEFAULT_ENUMERATION_LIMIT, takes the least mask of every
     rotation orbit of nonempty proper subsets of the d cosets of the
-    order-(p-1)/d subgroup H, and computes every union's fixing subgroup
-    directly on residues, in one batched fixer scan (_fixed_by_exactly) of
-    all R representatives.  A union of more than d/2 cosets is scanned as
-    its complement (see _fixed_by_exactly), so the batch is one int64
-    array of width W = floor(d/2) * |H|, each row's residues ascending and
-    padded on the right with p.  H holds -1, so
-    every union of its cosets is inverse-symmetric, and the scan halves
-    both its candidates and its columns: it confirms one unit of each pair
-    {k, -k} on the columns below p/2, at most R * (W/2)^2 products; every
-    unit that can fix a union is still decided on residues.  H alone must
-    fix a union iff its mask is aperiodic, and always when its coset count
-    is coprime to d; each failure raises ConstructionError.  The count must
-    equal the closed-form count of aperiodic subsets, which is also what
-    larger d returns on its own (without witnesses, which would be
-    astronomically many).  Before H is built, the work bound _census_work
-    must be at most _MAX_CENSUS_PRODUCTS; the one batch looks up at most 5
-    times that.
+    order-(p-1)/d subgroup H, and computes the fixing subgroup of every
+    union of at most d/2 cosets directly on residues, in one batched fixer
+    scan (_fixed_by_exactly) of those R' representatives: one int64 array
+    of width W = floor(d/2) * |H|, each row's residues ascending and padded
+    on the right with p.  A union U of more than d/2 cosets takes the
+    verdict of the representative of its complement's orbit
+    (_deciding_representatives): among the units Fix(U) = Fix(U^c), the
+    complement rule of _fixed_by_exactly, and Fix(r^i U^c) = Fix(U^c),
+    since the units commute, so scanning U, or its complement, would repeat
+    the lookups of a row the batch already scans.  H holds -1, so every
+    union of its cosets is inverse-symmetric, and the scan halves both its
+    candidates and its columns: it confirms one unit of each pair {k, -k}
+    on the columns below p/2, at most R' * (W/2)^2 products; every unit
+    that can fix a union is still decided on residues.  H alone must fix a
+    union iff its mask is aperiodic, and always when its coset count is
+    coprime to d, for every orbit; each failure raises ConstructionError.
+    The count must equal the closed-form count of aperiodic subsets, which
+    is also what larger d returns on its own (without witnesses, which
+    would be astronomically many).  Before H is built, the work bound
+    _census_work must be at most _MAX_CENSUS_PRODUCTS; the one batch looks
+    up at most 3 times that.
 
     Multiplying by r^i rotates coset indices by i, so a kept union's
     multiplier images are its d coset rotations, and its canonical witness
@@ -392,14 +435,15 @@ def prime_census(p: int, d: int) -> CensusRecord:
     of the first coset in that order that one union holds and the other
     does not, so A < B iff A's coset bits, read in that order as a binary
     number (its key, from _coset_weights), are larger.  Rotation i moves
-    coset j to j + i, so the keys of all d rotations of the kept unions are
-    one int64 product of their (K, d) coset bits with the d x d rotation
-    matrix rotate[j, i] = weight[(i + j) % d], built once per census.  The
+    coset j to j + i, so the kept masks are rotated as integers, d shifts,
+    and each rotation's key is read from one table of the 2^d keys, built
+    by doubling: table[2^j : 2^(j+1)] = table[:2^j] + weight[j].  The
     least rotation is the one with the largest key (_least_rotation).
-    Within one size, ascending witness tuples are descending keys, so
-    witnesses are ordered by (size, -key).  They are returned as one
-    read-only int64 array, a row per witness padded on the right with p to
-    the (d-1)|H| residues of the largest union, behind a CensusWitnesses
+    Within one size, ascending witness tuples are descending keys, so one
+    argsort of (size << d) | (2^d - 1 - key) orders the witnesses, and the
+    held cosets are shifted out of each chosen mask.  They are returned as
+    one read-only int64 array, a row per witness padded on the right with p
+    to the (d-1)|H| residues of the largest union, behind a CensusWitnesses
     view: no ConnectionSet is built until a witness is read.  `verify full`
     re-checks the example witnesses with canonical_form, which works on
     residues.
@@ -421,9 +465,13 @@ def prime_census(p: int, d: int) -> CensusRecord:
 
     cosets = _prime_cosets(p, d)
     masks, aperiodic = _orbit_representatives(d)
-    held = (masks[:, None] >> np.arange(d)) & 1 == 1
+    full, shift = (1 << d) - 1, np.arange(d)
+    held = (masks[:, None] >> shift) & 1 == 1
     sizes = held.sum(axis=1)
-    keeps = _fixed_by_exactly(p, cosets, held)
+    scanned = 2 * sizes <= d
+    verdict = np.zeros(len(masks), dtype=bool)
+    verdict[scanned] = _fixed_by_exactly(p, cosets, held[scanned])
+    keeps = verdict[_deciding_representatives(d)]
     wrong = np.flatnonzero(keeps != aperiodic)
     if wrong.size:  # name the failing union of fewest cosets, then least mask
         mask = int(masks[wrong[np.lexsort((masks[wrong], sizes[wrong]))[0]]])
@@ -433,16 +481,19 @@ def prime_census(p: int, d: int) -> CensusRecord:
     count = int(keeps.sum())
     if count != formula_count:
         raise ConstructionError(f"enumerated {count} orbits but formula gives {formula_count}")
-    # the d coset rotations of each kept union: all its multiplier images
-    kept = held[keeps]
+    # the d coset rotations of each kept union, all its multiplier images;
+    # rotation i moves coset j to j + i
+    kept = masks[keeps][:, None]
+    turned = ((kept << shift) | (kept >> (d - shift))) & full
     weight = _coset_weights(cosets)
-    rotate = weight[np.add.outer(np.arange(d), np.arange(d)) % d]
-    keys = kept @ rotate
-    chosen = _least_rotation(keys)
-    # witnesses by (size, -key); rotation i moves coset j to j + i
-    ranked = np.lexsort((-keys[np.arange(count), chosen], sizes[keeps]))
-    turned = np.take_along_axis(kept[ranked], (np.arange(d) - chosen[ranked, None]) % d, axis=1)
-    rows = _union_rows(turned, cosets, p)
+    table = np.zeros(1 << d, dtype=np.int64)
+    for j in range(d):
+        table[1 << j : 2 << j] = table[: 1 << j] + weight[j]
+    keys = table[turned]
+    least = turned[np.arange(count), _least_rotation(keys)]
+    # witnesses by (size, -key)
+    ranked = least[np.argsort((sizes[keeps] << d) | (full - table[least]))]
+    rows = _union_rows((ranked[:, None] >> shift) & 1 == 1, cosets, p)
     return CensusRecord(p, d, count, CensusWitnesses(p, rows), "coset-orbit-enumeration")
 
 

@@ -27,6 +27,7 @@ from .census import (
     power_sum_nonvanishing,
     prime_census,
     prime_order_upper_bound,
+    witness_family,
 )
 from .circulant import (
     algebraic_degree,
@@ -44,7 +45,7 @@ from .integral import (
     count_connected_integral_bruteforce,
 )
 from .mintable import degree_table
-from .numtheory import divisors, euler_phi, is_prime, is_prime_power, tau
+from .numtheory import divisors, euler_phi, is_prime, is_prime_power, mobius, omega, tau
 from .unitgroup import units
 
 
@@ -281,6 +282,45 @@ def check_sandwich(p_max: int = 200) -> CheckResult:
     return _run("sandwich-bounds", body)
 
 
+def check_witness_families(n_max: int = 100) -> CheckResult:
+    """witness_family(n, d) at every 3 <= n <= n_max and every d > 1
+    dividing phi(n)/2 has lower_bound(n, d) members, each of algebraic
+    degree d, and that bound is the best of the paper's three rules,
+    recomputed here: phi(d), plus omega(d) when d is not a prime power;
+    d - omega(d) for square-free d; d - 1 at prime n with d | (n-1)/2."""
+
+    def body() -> str:
+        families = members = 0
+        for n in range(3, n_max + 1):
+            for d in divisors(euler_phi(n) // 2)[1:]:
+                rules = [euler_phi(d) + (0 if is_prime_power(d) else omega(d))]
+                if mobius(d) != 0:
+                    rules.append(d - omega(d))
+                if is_prime(n) and (n - 1) // 2 % d == 0:
+                    rules.append(d - 1)
+                low, best = lower_bound(n, d)[0], max(rules)
+                _require(
+                    low == best,
+                    f"lower_bound({n}, {d}) = {low}, the best of the three rules gives {best}"
+                )
+                family = witness_family(n, d)
+                _require(
+                    len(family) == low,
+                    f"witness_family({n}, {d}) has {len(family)} members, lower_bound gives {low}"
+                )
+                for w in family:
+                    degree = algebraic_degree(make_connection_set(n, w.elements))
+                    _require(
+                        degree == d,
+                        f"witness {w.encode()} of family ({n}, {d}) has degree {degree}"
+                    )
+                families += 1
+                members += len(family)
+        return f"{families} families, {members} members of degree d, for 3 <= n <= {n_max}"
+
+    return _run("witness-families", body)
+
+
 def check_integral_counts(n_max: int = 120) -> CheckResult:
     def body() -> str:
         for n in range(1, n_max + 1):
@@ -410,6 +450,7 @@ def full_suite() -> list[CheckResult]:
         check_example_census(11, 5),
         check_prime_degree_counts(300),
         check_sandwich(200),
+        check_witness_families(100),
         check_integral_counts(120),
         check_oracle_equivalence(46, samples=500, n_random_max=200),
         check_prime_power_counts(1024),

@@ -61,3 +61,9 @@ def test_criterion_10_construction_verification():
 
 def test_criterion_11_power_sum_nonvanishing():
     report(verify.check_power_sums(200))
+
+
+def test_criterion_12_witness_families():
+    result = verify.check_witness_families(100)
+    report(result)
+    assert result.detail == "338 families, 2007 members of degree d, for 3 <= n <= 100"

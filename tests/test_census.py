@@ -355,6 +355,66 @@ def test_census_keeps_exactly_the_unions_fixed_by_h_alone():
         assert len(record.witnesses) == len(kept) and set(record.witnesses) == kept, (p, d)
 
 
+def test_complement_map_sends_each_larger_orbit_to_its_complement_orbit():
+    # brute force: a representative of at most d/2 cosets decides itself;
+    # a larger one is decided by the least rotation of its complement
+    for d in range(2, census.DEFAULT_ENUMERATION_LIMIT + 1):
+        masks, _ = census._orbit_representatives(d)
+        full = (1 << d) - 1
+        deciding = census._deciding_representatives(d)
+        for i, mask in enumerate(masks.tolist()):
+            if 2 * bin(mask).count("1") <= d:
+                assert deciding[i] == i, (d, mask)
+            else:
+                c = full ^ mask
+                least = min(((c << s) | (c >> (d - s))) & full for s in range(d))
+                assert masks[deciding[i]] == least, (d, mask)
+
+
+@pytest.mark.parametrize("p, d", [(11, 5), (23, 11), (53, 13)])
+def test_a_wrong_complement_map_cannot_change_a_prime_degree_census(monkeypatch, p, d):
+    # at prime d every proper orbit is aperiodic, so every verdict is "kept":
+    # a map that sends each larger orbit to the first representative only
+    # copies a "kept" verdict, and the output is the same
+    want = prime_census(p, d)
+    deciding = census._deciding_representatives(d)
+    wrong = np.where(deciding == np.arange(len(deciding)), deciding, 0)
+    monkeypatch.setattr(census, "_deciding_representatives", lambda d: wrong)
+    got = prime_census(p, d)
+    assert got == want and got.witnesses.rows.tolist() == want.witnesses.rows.tolist()
+
+
+def test_complement_map_names_a_missing_representative(monkeypatch):
+    # without the orbit of mask 11, the complement 11000 of mask 111 at
+    # d = 5 has no representative among the least rotations
+    masks, aperiodic = census._orbit_representatives(5)
+    present = masks != 0b11
+    monkeypatch.setattr(
+        census, "_orbit_representatives", lambda d: (masks[present], aperiodic[present])
+    )
+    census._deciding_representatives.cache_clear()
+    try:
+        with pytest.raises(
+            ConstructionError,
+            match=r"^no orbit representative 11 for the complement of mask 111 at d=5$",
+        ):
+            prime_census(11, 5)
+    finally:
+        census._deciding_representatives.cache_clear()
+
+
+def test_census_witnesses_are_ordered_by_valency_then_residues():
+    # every census with p < 100: the witness list itself, not only its set
+    cases = [
+        (p, d) for p in range(3, 100) if is_prime(p)
+        for d in range(2, census.DEFAULT_ENUMERATION_LIMIT + 1) if (p - 1) // 2 % d == 0
+    ]
+    assert len(cases) == 55
+    for p, d in cases:
+        witnesses = list(prime_census(p, d).witnesses)
+        assert witnesses == sorted(set(witnesses), key=lambda w: (w.valency(), w.elements)), (p, d)
+
+
 def test_one_fixer_scan_per_census_and_per_table(monkeypatch):
     calls = []
 
@@ -369,9 +429,12 @@ def test_one_fixer_scan_per_census_and_per_table(monkeypatch):
     for p, d in ((11, 5), (29, 14), (53, 13), (73, 12), (337, 12)):
         calls.clear()
         prime_census(p, d)
-        # every orbit representative, each at most d/2 cosets wide
+        # the orbit representatives of at most d/2 cosets; each larger one
+        # takes the verdict of its complement's orbit
         (shape,) = calls
-        assert shape == (len(census._orbit_representatives(d)[0]), d // 2 * ((p - 1) // d))
+        masks, _ = census._orbit_representatives(d)
+        small = sum(2 * bin(mask).count("1") <= d for mask in masks.tolist())
+        assert shape == (small, d // 2 * ((p - 1) // d))
     monkeypatch.setattr(circulant, "_unit_fixers", counted(circulant._unit_fixers))
     for d_max in (2, 10, 100, 1000):
         calls.clear()
@@ -393,18 +456,20 @@ def test_one_fixer_scan_per_census_and_per_table(monkeypatch):
 
 
 def test_census_work_bounds_the_one_batch():
-    # the one batch looks up at most R * (floor(d/2) * |H|/2)^2 products, at
-    # most 5 * _census_work for every enumerated d; both scale as (|H|/2)^2,
-    # and the ratio is largest at d = 14
+    # the one batch of the R' representatives of at most d/2 cosets looks up
+    # at most R' * (floor(d/2) * |H|/2)^2 products, at most 3 * _census_work
+    # for every enumerated d; both scale as (|H|/2)^2, and the ratio is
+    # largest at d = 14
     ratios = {}
     for d in range(2, census.DEFAULT_ENUMERATION_LIMIT + 1):
-        representatives = len(census._orbit_representatives(d)[0])
+        masks, _ = census._orbit_representatives(d)
+        scanned = sum(2 * bin(mask).count("1") <= d for mask in masks.tolist())
         for half in (1, 3, 50):
             p = 2 * d * half + 1  # (p-1)/d = |H| = 2 * half
-            batch = representatives * (d // 2 * half) ** 2
-            assert batch <= 5 * census._census_work(p, d), (d, half)
+            batch = scanned * (d // 2 * half) ** 2
+            assert batch <= 3 * census._census_work(p, d), (d, half)
             ratios[d] = batch / census._census_work(p, d)
-    assert max(ratios, key=ratios.get) == 14 and 4.16 < ratios[14] < 4.17
+    assert max(ratios, key=ratios.get) == 14 and ratios[14] == 2.515625
 
 
 def test_prime_census_checks_the_orbit_count_against_the_formula(monkeypatch):
@@ -650,12 +715,16 @@ def test_sandwich_small():
 
 def test_orbit_representatives_are_shared_and_read_only():
     census._orbit_representatives.cache_clear()
+    census._deciding_representatives.cache_clear()
     prime_census(29, 7)
     kept = census._orbit_representatives(7)
     prime_census(43, 7)
+    # one build; the hits are the complement map's one build and two reads
     info = census._orbit_representatives.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert (info.misses, info.hits) == (1, 3)
+    info = census._deciding_representatives.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     assert all(a is b for a, b in zip(kept, census._orbit_representatives(7)))
-    for array in kept:
+    for array in (*kept, census._deciding_representatives(7)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[-1]

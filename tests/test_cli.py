@@ -234,8 +234,10 @@ def test_census_aperiodic_count_not_divisible_by_d_exits_3(capsys, monkeypatch):
 def test_census_coprime_union_not_fixed_by_h_alone_exits_3(capsys, monkeypatch):
     import circdeg.census as census_module
 
-    # mask 1 (the coset H, row 0 of the batch) loses its hits and is marked
-    # periodic, so the coset model agrees; one coset is coprime to d = 3
+    # mask 1 (the coset H, row 0 of the batch) loses its hits, and so does
+    # mask 11, which takes the verdict of its complement's orbit, mask 1;
+    # both are marked periodic, so the coset model agrees; one coset and
+    # two are coprime to d = 3
     masks, aperiodic = census_module._orbit_representatives(3)
     scan = census_module._unit_fixers
 
@@ -244,13 +246,31 @@ def test_census_coprime_union_not_fixed_by_h_alone_exits_3(capsys, monkeypatch):
         return k[row != 0], row[row != 0]
 
     monkeypatch.setattr(
-        census_module, "_orbit_representatives", lambda d: (masks, aperiodic & (masks != 1))
+        census_module,
+        "_orbit_representatives",
+        lambda d: (masks, aperiodic & ~np.isin(masks, (1, 3))),
     )
     monkeypatch.setattr(census_module, "_unit_fixers", drop_row_0)
     assert run(capsys, "census", "13", "3") == (
         EXIT_DISAGREEMENT,
         "",
         "error: coprime-size subset not fixed exactly by H at p=13, d=3\n",
+    )
+
+
+@pytest.mark.parametrize("p, d, mask", [(17, 4, "111"), (13, 6, "1111")])
+def test_census_complement_map_to_a_periodic_orbit_exits_3(capsys, monkeypatch, p, d, mask):
+    import circdeg.census as census_module
+
+    # every orbit of more than d/2 cosets takes the verdict of a periodic
+    # orbit, "not fixed by exactly H", so its least aperiodic mask mismatches
+    masks, aperiodic = census_module._orbit_representatives(d)
+    deciding = census_module._deciding_representatives(d)
+    periodic = np.flatnonzero(~aperiodic)[0]
+    wrong = np.where(deciding == np.arange(len(masks)), deciding, periodic)
+    monkeypatch.setattr(census_module, "_deciding_representatives", lambda d: wrong)
+    assert run(capsys, "census", str(p), str(d)) == (
+        EXIT_DISAGREEMENT, "", f"error: coset model mismatch at p={p}, d={d}, mask={mask}\n"
     )
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import circdeg
-from circdeg import circulant, cyclotomic, integral, numtheory, unitgroup, verify
+from circdeg import census, circulant, cyclotomic, integral, numtheory, unitgroup, verify
 from circdeg.circulant import algebraic_degree, make_connection_set, pair_orbits
 from circdeg.cyclotomic import splitting_field_degree
 
@@ -267,6 +267,36 @@ def test_example_census_sees_a_canonical_form_that_is_the_identity(monkeypatch):
     assert not result.passed
     witness = verify.prime_census(11, 5).witnesses[0].encode()
     assert result.detail.startswith(f"witness {witness} is not the canonical form of")
+
+
+def test_witness_family_check_sees_a_wrong_lower_bound(monkeypatch):
+    # (1, "phi") everywhere: every rule gives 1 at d = 2, so (7, 3) is the
+    # first family it changes; in the library alone, the family build fails
+    wrong = lambda n, d: (1, "phi")  # noqa: E731
+    monkeypatch.setattr(census, "lower_bound", wrong)
+    result = verify.check_witness_families(20)
+    assert not result.passed
+    assert "(n=7, d=3)" in result.detail
+    monkeypatch.setattr(verify, "lower_bound", wrong)
+    result = verify.check_witness_families(20)
+    assert not result.passed
+    assert result.detail == "lower_bound(7, 3) = 1, the best of the three rules gives 2"
+
+
+def test_witness_family_check_sees_a_member_of_another_degree(monkeypatch):
+    # the last member of (7, 3) swapped for all of Z_7^*, of degree 1
+    family = verify.witness_family
+
+    def swapped(n, d):
+        members = family(n, d)
+        if (n, d) != (7, 3):
+            return members
+        return (*members[:-1], make_connection_set(7, range(1, 7)))
+
+    monkeypatch.setattr(verify, "witness_family", swapped)
+    result = verify.check_witness_families(20)
+    assert not result.passed
+    assert result.detail == "witness 7:1,2,3,4,5,6 of family (7, 3) has degree 1"
 
 
 def test_integral_check_sees_a_dropped_divisor(monkeypatch):
