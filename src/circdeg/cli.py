@@ -191,7 +191,7 @@ def cmd_deg(args) -> int:
 
 def cmd_table(args) -> int:
     orders = _table_orders(args.d_max)
-    # The check compares the scanned orders, before any witness is built,
+    # The check compares the sieved orders, before any witness is built,
     # so a mismatch prints no row and caches nothing.
     d_check = min(args.d_max, 100)
     if args.check:

@@ -2,8 +2,9 @@
 
 Factorization (trial division + deterministic Pollard-Brent), the classical
 multiplicative functions phi/mu/tau/sigma/omega, divisor lists, deterministic
-64-bit primality, and the prime search p = 1 (mod 2d) that bounds the minimal
-order of a degree-d circulant graph.
+64-bit primality, the prime search p = 1 (mod 2d) that bounds the minimal
+order of a degree-d circulant graph, and a numpy sieve of phi(n) for every n
+below a stop, from which the minimal-order table reads its orders.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 MAX_INPUT = 2**63 - 1
 
@@ -23,7 +26,7 @@ _TRIAL_BOUND = 10**4
 
 @lru_cache(maxsize=1)
 def _small_primes() -> tuple[int, ...]:
-    """Primes below 10^4 by sieve; used for trial division."""
+    """Primes below 10^4 by sieve; used for trial division and by _totients."""
     limit = _TRIAL_BOUND
     flags = bytearray([1]) * limit
     flags[0] = flags[1] = 0
@@ -112,8 +115,8 @@ def _pollard_brent(n: int) -> int:
 def factorize(n: int) -> Factorization:
     """Prime factorization of n, 1 <= n <= 2^63 - 1; factorize(1) has no factors.
 
-    Cached: the ascending scans of the minimal-order table factor the same
-    orders again for every row.
+    Cached: the subgroup constructions and unit groups of one call factor the
+    same orders and totients again.
     """
     _check_range(n)
     original = n
@@ -144,6 +147,38 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n):
         result *= (p - 1) * p ** (e - 1)
     return result
+
+
+def _totients(stop: int) -> np.ndarray:
+    """phi(n) for every 0 <= n < stop, as an int64 array (phi(0) reads 0).
+
+    One sieve over the primes p with p^2 < stop: phi starts as n, and each p
+    takes phi[p::p] -= phi[p::p] // p, while p is divided out of the cofactor
+    rest[n], one prime power at a time.  Every step is exact.  Before a prime
+    p | n is applied, phi[n] = (n / P) * prod (q - 1) over the primes q that
+    were applied, P their product, and p divides n / P; after it,
+    phi[n] = (n / (P p)) * prod (q - 1) * (p - 1).  What is left of n,
+    rest[n] > 1, has no prime factor q with q^2 < stop, so it is one prime
+    (two would make it at least stop > n), and it divides n / P in the same
+    way, so the last step phi[n] -= phi[n] // rest[n] is exact too.  Raises
+    ValueError, before any allocation, for stop over _TRIAL_BOUND^2: past it
+    a cofactor could need a prime that _small_primes lacks.
+    """
+    if stop > _TRIAL_BOUND**2:
+        raise ValueError(f"totient sieve to {stop} is over the limit of {_TRIAL_BOUND**2}")
+    phi = np.arange(stop, dtype=np.int64)
+    rest = phi.copy()
+    for p in _small_primes():
+        if p * p >= stop:
+            break
+        phi[p::p] -= phi[p::p] // p
+        power = p
+        while power < stop:
+            rest[power::power] //= p
+            power *= p
+    big = np.flatnonzero(rest > 1)
+    phi[big] -= phi[big] // rest[big]
+    return phi
 
 
 def mobius(n: int) -> int:

@@ -21,7 +21,7 @@ from circdeg.cli import (
     table_csv,
 )
 from circdeg.mintable import degree_table
-from circdeg.numtheory import euler_phi, is_prime
+from circdeg.numtheory import is_prime
 
 
 def run(capsys, *argv):
@@ -108,7 +108,8 @@ def test_table_check_detects_mismatch(capsys, monkeypatch, tmp_path):
 def test_table_check_names_the_row_a_wrong_scan_gets(capsys, monkeypatch):
     # phi(n + 1) moves every C(d) one down, to an order with no degree-d
     # witness: the check, not the refused construction, reports it.
-    monkeypatch.setattr(mintable, "euler_phi", lambda n: euler_phi(n + 1))
+    sieve = mintable._totients
+    monkeypatch.setattr(mintable, "_totients", lambda stop: sieve(stop + 1)[1:])
     code, out, err = run(capsys, "table", "100", "--check")
     assert code == EXIT_GOLDEN_MISMATCH
     assert out == ""
@@ -124,6 +125,33 @@ def test_table_check_names_the_row_a_wrong_scan_gets(capsys, monkeypatch):
         "error: no degree-2 witness on C(2) = 4 vertices: "
         "2 does not divide phi(4)/2 = 1\n"
     )
+
+
+def test_table_check_names_the_row_of_one_wrong_totient(capsys, monkeypatch):
+    # phi(15) = 8 read as 7 moves C(4) = 15 up to 16, where 8 | phi(16)
+    sieve = mintable._totients
+
+    def one_wrong(stop):
+        phi = sieve(stop)
+        phi[15] = 7
+        return phi
+
+    monkeypatch.setattr(mintable, "_totients", one_wrong)
+    code, out, err = run(capsys, "table", "10", "--check")
+    assert code == EXIT_GOLDEN_MISMATCH
+    assert out == ""
+    assert err == (
+        "error: computed table deviates from the published table: row d = 4: "
+        "computed (C, p, strict) = (16, 17, True), published (15, 17, True)\n"
+    )
+
+
+def test_table_exits_3_when_the_sieve_lacks_an_order(capsys, monkeypatch):
+    monkeypatch.setattr(mintable, "_totients", lambda stop: np.ones(stop, dtype=np.int64))
+    code, out, err = run(capsys, "table", "10", "--check")
+    assert code == EXIT_DISAGREEMENT
+    assert out == ""
+    assert err == "error: C(2) not found: no order n < 42 has 4 | phi(n)\n"
 
 
 def test_table_usage_error(capsys):

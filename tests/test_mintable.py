@@ -42,31 +42,46 @@ def test_one_scan_matches_per_degree_scans():
             n += 1
 
     want = {d: 1 if d == 1 else reference(d) for d in range(1, 301)}
-    assert mintable._min_orders(range(1, 301)) == want
-    assert mintable._min_orders(()) == {}
+    stop = max(map(smallest_prime_1_mod_2d, range(1, 301))) + 1
+    assert mintable._min_orders(range(1, 301), stop) == want
+    assert mintable._min_orders((), 2) == {}
     for d in (1, 2, 94, 300):
         assert min_order_for_degree(d) == want[d]
 
 
-def test_scan_stops_within_one_block_of_the_last_order(monkeypatch):
-    seen = []
+def test_one_sieve_per_call_up_to_the_largest_prime_bound(monkeypatch):
+    sieve, stops = mintable._totients, []
 
-    def counted(n):
-        seen.append(n)
-        return euler_phi(n)
+    def counted(stop):
+        stops.append(stop)
+        return sieve(stop)
 
-    monkeypatch.setattr(mintable, "euler_phi", counted)
-    for degrees in ((1, 2, 3), (2,), (94,), range(1, 101), range(1, 1001)):
-        seen.clear()
-        top = max(mintable._min_orders(degrees).values())
-        # One euler_phi call per n, ascending from 2, through the last C(d) ...
-        assert seen == list(range(2, len(seen) + 2))
-        assert seen[-1] >= top
-        # ... and at most one block past it.
-        assert seen[-1] - top < mintable._BLOCK_CAP
-    seen.clear()
+    monkeypatch.setattr(mintable, "_totients", counted)
+    for d_max in (1, 3, 100, 1000):
+        stops.clear()
+        orders = mintable._table_orders(d_max)
+        assert stops == [max(o.p_d for o in orders) + 1]
+    for d in (1, 2, 94, 131069):
+        stops.clear()
+        min_order_for_degree(d)
+        assert stops == [smallest_prime_1_mod_2d(d) + 1]
+    stops.clear()
     assert [r.c_of_d for r in degree_table(3)] == [1, 5, 7]
-    assert len(seen) < 16  # table 3 needs n <= 7: a small table stays cheap
+    assert stops == [8]  # table 3 needs p_3 = 7: a small table stays cheap
+
+
+def test_min_orders_refuse_a_sieve_without_the_order(monkeypatch):
+    # phi(n) = 1 for every n: no order has 4 | phi(n)
+    monkeypatch.setattr(mintable, "_totients", lambda stop: np.ones(stop, dtype=np.int64))
+    assert mintable._min_orders((1,), 4) == {1: 1}
+    with pytest.raises(
+        ConstructionError, match=r"^C\(2\) not found: no order n < 6 has 4 \| phi\(n\)$"
+    ):
+        mintable._table_orders(2)
+    with pytest.raises(
+        ConstructionError, match=r"^C\(94\) not found: no order n < 942 has 188 \| phi\(n\)$"
+    ):
+        min_order_for_degree(94)
 
 
 def test_min_order_refuses_degrees_past_the_order_range():
@@ -85,7 +100,7 @@ def test_min_order_scan_limit_boundaries(monkeypatch):
     monkeypatch.setattr(mintable, "_MAX_SCAN_ORDER", 941)
     assert min_order_for_degree(94) == 849
     # ... and refused one below it, before any phi
-    monkeypatch.setattr(mintable, "euler_phi", refuse)
+    monkeypatch.setattr(mintable, "_totients", refuse)
     for limit in (940, 189):
         monkeypatch.setattr(mintable, "_MAX_SCAN_ORDER", limit)
         with pytest.raises(

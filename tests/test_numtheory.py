@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from circdeg import numtheory
 from circdeg.numtheory import (
     Factorization,
     divisors,
@@ -75,6 +77,33 @@ def test_euler_phi_examples():
     assert euler_phi(13) == 12
     # brute-force oracle for the composite case
     assert euler_phi(15) == sum(1 for k in range(1, 16) if math.gcd(k, 15) == 1) == 8
+
+
+def test_totients_match_euler_phi():
+    # every n < 2^16, then a strided sample up to 262,140, the largest stop
+    # min_order_for_degree admits (C(131069) <= p = 262139)
+    phi = numtheory._totients(1 << 16)
+    assert phi.dtype == np.int64
+    assert phi[1:].tolist() == [euler_phi(n) for n in range(1, 1 << 16)]
+    phi = numtheory._totients(262140)
+    sample = list(range(1 << 16, 262140, 61)) + [262138, 262139]
+    assert phi[sample].tolist() == [euler_phi(n) for n in sample]
+    assert numtheory._totients(8).tolist() == [0, 1, 1, 2, 2, 4, 2, 6]
+    assert numtheory._totients(1).tolist() == [0]
+
+
+def test_totients_refuse_a_stop_past_the_trial_primes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated past the sieve limit")
+
+    # primes below 10^4 split every cofactor below 10^8, and no further
+    assert numtheory._TRIAL_BOUND**2 == 10**8
+    monkeypatch.setattr(numtheory.np, "arange", refuse)
+    for stop in (10**8 + 1, 2**63):
+        with pytest.raises(
+            ValueError, match=rf"^totient sieve to {stop} is over the limit of 100000000$"
+        ):
+            numtheory._totients(stop)
 
 
 def test_mobius_examples():
