@@ -11,8 +11,8 @@ a brute-force isomorphism census for toy orders.  The census and the witness
 families alike pass their coset bits to one batched fixer scan per call
 (_fixed_by_exactly), which checks on residues that each union is fixed by
 exactly H, scanning a union of more than d/2 cosets as its complement; the
-census scans only its orbits of at most d/2 cosets, and each larger orbit
-takes the verdict of its complement's orbit (_deciding_representatives).
+census scans only its orbits of at most d/2 cosets, and takes the complement
+of each kept union of fewer than d/2 cosets as a kept union of the rest.
 """
 
 from __future__ import annotations
@@ -279,42 +279,6 @@ def _orbit_representatives(d: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, aperiodic
 
 
-@lru_cache(maxsize=DEFAULT_ENUMERATION_LIMIT)
-def _deciding_representatives(d: int) -> np.ndarray:
-    """For each orbit representative of _orbit_representatives(d), the
-    position among them of the one whose fixer scan decides it: its own for
-    a union of at most d/2 cosets, else the least of the d rotations of its
-    complemented mask, found by np.searchsorted in the ascending masks.
-
-    Among the units, Fix(U) = Fix(U^c): units permute the units, which the
-    cosets partition (the complement rule of _fixed_by_exactly).  And
-    Fix(r^i U) = Fix(U), because the units commute: k r^i U = r^i U iff
-    k U = U.  The complement of the union of the cosets of a mask is the
-    union of the cosets of the complemented mask, and its rotations are
-    r^i times that union, so every rotation of the complement has the fixers
-    of U, and the orbit representative among them, of fewer than d/2
-    cosets, decides U.  Raises ConstructionError, naming d and the mask, if
-    that least rotation is not a representative.  It depends on d alone, so
-    it is kept, in a read-only array."""
-    masks, _ = _orbit_representatives(d)
-    full, shift = (1 << d) - 1, np.arange(d)
-    position = np.arange(len(masks))
-    large = 2 * ((masks[:, None] >> shift) & 1).sum(axis=1) > d
-    complement = (full ^ masks[large])[:, None]
-    least = (((complement << shift) | (complement >> (d - shift))) & full).min(axis=1)
-    found = np.searchsorted(masks, least)
-    missing = masks[np.minimum(found, len(masks) - 1)] != least
-    if missing.any():
-        i = np.flatnonzero(missing)[0]
-        raise ConstructionError(
-            f"no orbit representative {least[i]:b} for the complement of "
-            f"mask {masks[large][i]:b} at d={d}"
-        )
-    position[large] = found
-    position.setflags(write=False)
-    return position
-
-
 def _census_work(p: int, d: int) -> int:
     """The work measure of prime_census(p, d) that _MAX_CENSUS_PRODUCTS
     bounds: the most products B * (L/2)^2 that the unions of one size m
@@ -323,12 +287,12 @@ def _census_work(p: int, d: int) -> int:
     L/2 candidates.  L is even: |H| = (p-1)/d is, since d divides (p-1)/2.
 
     The census scans the R' orbit representatives of at most d/2 cosets
-    in one batch of width floor(d/2) * |H|, each larger one taking the
-    verdict of its complement's orbit (_deciding_representatives), and
-    looks up at most R' * (floor(d/2) * |H|/2)^2 products.  That is at most
-    3 times this bound: the ratio R' * floor(d/2)^2 / max_m B_m * m^2 does
-    not depend on p, and is largest at d = 14, where R' = 713 of the R =
-    1,180 representatives and it is 2.52.
+    in one batch of width floor(d/2) * |H|, and no larger one (prime_census
+    complements the kept masks), so it looks up at most
+    R' * (floor(d/2) * |H|/2)^2 products.  That is at most 3 times this
+    bound: the ratio R' * floor(d/2)^2 / max_m B_m * m^2 does not depend on
+    p, and is largest at d = 14, where R' = 713 of the R = 1,180
+    representatives and it is 2.52.
 
     The bound also bounds p: the single cosets alone (m = 1, B = 1) need
     ((p-1)/2d)^2 <= _MAX_CENSUS_PRODUCTS = 2^26 products, so an enumerated
@@ -405,23 +369,26 @@ def prime_census(p: int, d: int) -> CensusRecord:
     union of at most d/2 cosets directly on residues, in one batched fixer
     scan (_fixed_by_exactly) of those R' representatives: one int64 array
     of width W = floor(d/2) * |H|, each row's residues ascending and padded
-    on the right with p.  A union U of more than d/2 cosets takes the
-    verdict of the representative of its complement's orbit
-    (_deciding_representatives): among the units Fix(U) = Fix(U^c), the
-    complement rule of _fixed_by_exactly, and Fix(r^i U^c) = Fix(U^c),
-    since the units commute, so scanning U, or its complement, would repeat
-    the lookups of a row the batch already scans.  H holds -1, so every
-    union of its cosets is inverse-symmetric, and the scan halves both its
-    candidates and its columns: it confirms one unit of each pair {k, -k}
-    on the columns below p/2, at most R' * (W/2)^2 products; every unit
-    that can fix a union is still decided on residues.  H alone must fix a
-    union iff its mask is aperiodic, and always when its coset count is
-    coprime to d, for every orbit; each failure raises ConstructionError.
-    The count must equal the closed-form count of aperiodic subsets, which
-    is also what larger d returns on its own (without witnesses, which
-    would be astronomically many).  Before H is built, the work bound
-    _census_work must be at most _MAX_CENSUS_PRODUCTS; the one batch looks
-    up at most 3 times that.
+    on the right with p.  H holds -1, so every union of its cosets is
+    inverse-symmetric, and the scan halves both its candidates and its
+    columns: it confirms one unit of each pair {k, -k} on the columns below
+    p/2, at most R' * (W/2)^2 products; every unit that can fix a scanned
+    union is decided on residues.  H alone must fix a scanned union iff its
+    mask is aperiodic, and always when its coset count is coprime to d;
+    each failure raises ConstructionError.
+
+    No union of more than d/2 cosets is scanned.  The complement U^c of a
+    kept union U of m < d/2 cosets is a kept union of d - m: among the
+    units Fix(U^c) = Fix(U), the complement rule of _fixed_by_exactly;
+    Fix(r^i U^c) = Fix(U^c), since the units commute; and complementing
+    keeps a mask aperiodic and maps the orbits of m cosets one to one onto
+    those of d - m.  So the kept masks are the kept scanned masks and the
+    complement of each one of fewer than d/2 cosets; an orbit of exactly
+    d/2 cosets is scanned, and not mirrored.  Their number must equal the
+    closed-form count of aperiodic subsets, which is also what larger d
+    returns on its own (without witnesses, which would be astronomically
+    many).  Before H is built, the work bound _census_work must be at most
+    _MAX_CENSUS_PRODUCTS; the one batch looks up at most 3 times that.
 
     Multiplying by r^i rotates coset indices by i, so a kept union's
     multiplier images are its d coset rotations, and its canonical witness
@@ -467,23 +434,25 @@ def prime_census(p: int, d: int) -> CensusRecord:
     masks, aperiodic = _orbit_representatives(d)
     full, shift = (1 << d) - 1, np.arange(d)
     held = (masks[:, None] >> shift) & 1 == 1
+    scanned = 2 * held.sum(axis=1) <= d
+    masks, aperiodic, held = masks[scanned], aperiodic[scanned], held[scanned]
     sizes = held.sum(axis=1)
-    scanned = 2 * sizes <= d
-    verdict = np.zeros(len(masks), dtype=bool)
-    verdict[scanned] = _fixed_by_exactly(p, cosets, held[scanned])
-    keeps = verdict[_deciding_representatives(d)]
+    keeps = _fixed_by_exactly(p, cosets, held)
     wrong = np.flatnonzero(keeps != aperiodic)
     if wrong.size:  # name the failing union of fewest cosets, then least mask
         mask = int(masks[wrong[np.lexsort((masks[wrong], sizes[wrong]))[0]]])
         raise ConstructionError(f"coset model mismatch at p={p}, d={d}, mask={mask:b}")
     if not keeps[np.gcd(sizes, d) == 1].all():
         raise ConstructionError(f"coprime-size subset not fixed exactly by H at p={p}, d={d}")
-    count = int(keeps.sum())
+    # the kept scanned unions, then the complement of each of fewer than d/2 cosets
+    mirrored = keeps & (2 * sizes < d)
+    kept = np.concatenate((masks[keeps], full ^ masks[mirrored]))[:, None]
+    kept_sizes = np.concatenate((sizes[keeps], d - sizes[mirrored]))
+    count = len(kept)
     if count != formula_count:
         raise ConstructionError(f"enumerated {count} orbits but formula gives {formula_count}")
     # the d coset rotations of each kept union, all its multiplier images;
     # rotation i moves coset j to j + i
-    kept = masks[keeps][:, None]
     turned = ((kept << shift) | (kept >> (d - shift))) & full
     weight = _coset_weights(cosets)
     table = np.zeros(1 << d, dtype=np.int64)
@@ -492,7 +461,7 @@ def prime_census(p: int, d: int) -> CensusRecord:
     keys = table[turned]
     least = turned[np.arange(count), _least_rotation(keys)]
     # witnesses by (size, -key)
-    ranked = least[np.argsort((sizes[keeps] << d) | (full - table[least]))]
+    ranked = least[np.argsort((kept_sizes << d) | (full - table[least]))]
     rows = _union_rows((ranked[:, None] >> shift) & 1 == 1, cosets, p)
     return CensusRecord(p, d, count, CensusWitnesses(p, rows), "coset-orbit-enumeration")
 

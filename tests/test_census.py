@@ -257,9 +257,10 @@ def test_coset_keys_order_unions_as_their_sorted_residues(p, d):
 
 @pytest.mark.parametrize("p, d", [(11, 5), (13, 3), (29, 14), (53, 13), (73, 12)])
 def test_rotation_keys_are_the_gathered_sums_per_rotation(monkeypatch, p, d):
-    # the keys prime_census hands _least_rotation, one batch of every kept
-    # union in mask order, against sum over held cosets j of
-    # weight[(j + i) % d] for each rotation i
+    # the keys prime_census hands _least_rotation, one batch of the kept
+    # unions of at most d/2 cosets in mask order, then the complements of
+    # those of fewer, against sum over held cosets j of weight[(j + i) % d]
+    # for each rotation i
     batches = []
     least_rotation = census._least_rotation
 
@@ -272,7 +273,9 @@ def test_rotation_keys_are_the_gathered_sums_per_rotation(monkeypatch, p, d):
     cosets = census._prime_cosets(p, d)
     weight = census._coset_weights(cosets)
     masks, aperiodic = census._orbit_representatives(d)
-    kept = [[j for j in range(d) if m >> j & 1] for m in masks[aperiodic].tolist()]
+    scanned = [m for m in masks[aperiodic].tolist() if 2 * bin(m).count("1") <= d]
+    mirrored = [(2**d - 1) ^ m for m in scanned if 2 * bin(m).count("1") < d]
+    kept = [[j for j in range(d) if m >> j & 1] for m in scanned + mirrored]
     assert len(batches) == 1
     (keys,) = batches
     gathered = [[int(weight[(np.array(held) + i) % d].sum()) for i in range(d)] for held in kept]
@@ -355,52 +358,26 @@ def test_census_keeps_exactly_the_unions_fixed_by_h_alone():
         assert len(record.witnesses) == len(kept) and set(record.witnesses) == kept, (p, d)
 
 
-def test_complement_map_sends_each_larger_orbit_to_its_complement_orbit():
-    # brute force: a representative of at most d/2 cosets decides itself;
-    # a larger one is decided by the least rotation of its complement
-    for d in range(2, census.DEFAULT_ENUMERATION_LIMIT + 1):
-        masks, _ = census._orbit_representatives(d)
-        full = (1 << d) - 1
-        deciding = census._deciding_representatives(d)
-        for i, mask in enumerate(masks.tolist()):
-            if 2 * bin(mask).count("1") <= d:
-                assert deciding[i] == i, (d, mask)
-            else:
-                c = full ^ mask
-                least = min(((c << s) | (c >> (d - s))) & full for s in range(d))
-                assert masks[deciding[i]] == least, (d, mask)
-
-
-@pytest.mark.parametrize("p, d", [(11, 5), (23, 11), (53, 13)])
-def test_a_wrong_complement_map_cannot_change_a_prime_degree_census(monkeypatch, p, d):
-    # at prime d every proper orbit is aperiodic, so every verdict is "kept":
-    # a map that sends each larger orbit to the first representative only
-    # copies a "kept" verdict, and the output is the same
-    want = prime_census(p, d)
-    deciding = census._deciding_representatives(d)
-    wrong = np.where(deciding == np.arange(len(deciding)), deciding, 0)
-    monkeypatch.setattr(census, "_deciding_representatives", lambda d: wrong)
-    got = prime_census(p, d)
-    assert got == want and got.witnesses.rows.tolist() == want.witnesses.rows.tolist()
-
-
-def test_complement_map_names_a_missing_representative(monkeypatch):
-    # without the orbit of mask 11, the complement 11000 of mask 111 at
-    # d = 5 has no representative among the least rotations
-    masks, aperiodic = census._orbit_representatives(5)
-    present = masks != 0b11
-    monkeypatch.setattr(
-        census, "_orbit_representatives", lambda d: (masks[present], aperiodic[present])
-    )
-    census._deciding_representatives.cache_clear()
-    try:
-        with pytest.raises(
-            ConstructionError,
-            match=r"^no orbit representative 11 for the complement of mask 111 at d=5$",
-        ):
-            prime_census(11, 5)
-    finally:
-        census._deciding_representatives.cache_clear()
+def test_census_witnesses_of_more_than_half_the_cosets_are_the_complements():
+    # every census with p < 100, on residues: the witnesses of more than d/2
+    # cosets are the canonical forms of {1..p-1} minus a witness of fewer
+    # than d/2 cosets, one each
+    cases = [
+        (p, d) for p in range(3, 100) if is_prime(p)
+        for d in range(2, census.DEFAULT_ENUMERATION_LIMIT + 1) if (p - 1) // 2 % d == 0
+    ]
+    assert len(cases) == 55
+    for p, d in cases:
+        coset_size = (p - 1) // d
+        witnesses = list(prime_census(p, d).witnesses)
+        small = [w for w in witnesses if 2 * w.valency() < d * coset_size]
+        large = [w for w in witnesses if 2 * w.valency() > d * coset_size]
+        mirrored = [
+            canonical_form(make_connection_set(p, set(range(1, p)) - set(w.elements)))
+            for w in small
+        ]
+        assert len(set(mirrored)) == len(small) == len(large), (p, d)
+        assert set(mirrored) == set(large), (p, d)
 
 
 def test_census_witnesses_are_ordered_by_valency_then_residues():
@@ -429,8 +406,8 @@ def test_one_fixer_scan_per_census_and_per_table(monkeypatch):
     for p, d in ((11, 5), (29, 14), (53, 13), (73, 12), (337, 12)):
         calls.clear()
         prime_census(p, d)
-        # the orbit representatives of at most d/2 cosets; each larger one
-        # takes the verdict of its complement's orbit
+        # the orbit representatives of at most d/2 cosets; a larger kept
+        # union is the complement of a smaller one
         (shape,) = calls
         masks, _ = census._orbit_representatives(d)
         small = sum(2 * bin(mask).count("1") <= d for mask in masks.tolist())
@@ -715,16 +692,13 @@ def test_sandwich_small():
 
 def test_orbit_representatives_are_shared_and_read_only():
     census._orbit_representatives.cache_clear()
-    census._deciding_representatives.cache_clear()
     prime_census(29, 7)
     kept = census._orbit_representatives(7)
     prime_census(43, 7)
-    # one build; the hits are the complement map's one build and two reads
+    # one build; the hits are the read here and the second census
     info = census._orbit_representatives.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
-    info = census._deciding_representatives.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 2)
     assert all(a is b for a, b in zip(kept, census._orbit_representatives(7)))
-    for array in (*kept, census._deciding_representatives(7)):
+    for array in kept:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[-1]

@@ -262,10 +262,9 @@ def test_census_aperiodic_count_not_divisible_by_d_exits_3(capsys, monkeypatch):
 def test_census_coprime_union_not_fixed_by_h_alone_exits_3(capsys, monkeypatch):
     import circdeg.census as census_module
 
-    # mask 1 (the coset H, row 0 of the batch) loses its hits, and so does
-    # mask 11, which takes the verdict of its complement's orbit, mask 1;
-    # both are marked periodic, so the coset model agrees; one coset and
-    # two are coprime to d = 3
+    # mask 1 (the coset H, row 0 of the batch) loses its hits, so it is not
+    # kept, nor mirrored to mask 11; both are marked periodic, so the coset
+    # model agrees; one coset and two are coprime to d = 3
     masks, aperiodic = census_module._orbit_representatives(3)
     scan = census_module._unit_fixers
 
@@ -283,22 +282,6 @@ def test_census_coprime_union_not_fixed_by_h_alone_exits_3(capsys, monkeypatch):
         EXIT_DISAGREEMENT,
         "",
         "error: coprime-size subset not fixed exactly by H at p=13, d=3\n",
-    )
-
-
-@pytest.mark.parametrize("p, d, mask", [(17, 4, "111"), (13, 6, "1111")])
-def test_census_complement_map_to_a_periodic_orbit_exits_3(capsys, monkeypatch, p, d, mask):
-    import circdeg.census as census_module
-
-    # every orbit of more than d/2 cosets takes the verdict of a periodic
-    # orbit, "not fixed by exactly H", so its least aperiodic mask mismatches
-    masks, aperiodic = census_module._orbit_representatives(d)
-    deciding = census_module._deciding_representatives(d)
-    periodic = np.flatnonzero(~aperiodic)[0]
-    wrong = np.where(deciding == np.arange(len(masks)), deciding, periodic)
-    monkeypatch.setattr(census_module, "_deciding_representatives", lambda d: wrong)
-    assert run(capsys, "census", str(p), str(d)) == (
-        EXIT_DISAGREEMENT, "", f"error: coset model mismatch at p={p}, d={d}, mask={mask}\n"
     )
 
 
